@@ -132,14 +132,10 @@ def _subrows(rows, n, keep):
 
 
 def _adjacency(G: Group, vids) -> list[int]:
-    kind = G.kind
-    payloads = [G.elems[i] for i in vids]
-    arr = None
-    if kind.bulk:
-        arr = G.arr()[np.asarray(vids, dtype=np.int64)]
+    payloads, arr = G.block(vids)
     rows = []
-    for pos, i in enumerate(vids):
-        mask = np.asarray(kind.commute_mask(payloads, G.elems[i], arr=arr), dtype=bool)
+    for pos, p in enumerate(payloads):
+        mask = G.kind.commute_mask(payloads, p, arr=arr)
         mask[pos] = False
         rows.append(_mask_to_bitset(mask))
     return rows

@@ -12,9 +12,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import cg, linalg, perf
+from . import cg, perf, wit
 from .errors import PcgError
-from .grp import CosetKind, MatKind
 from .named import build, parse_spec, render_spec
 from .perf import Witness, verify_witness
 
@@ -89,29 +88,31 @@ class CachedGraph:
     encodings: tuple[str, ...]
 
 
+def _line(f, v):
+    """v scaled so its first nonzero coordinate is 1."""
+    s = f.inv(next(x for x in v if x))
+    return tuple(f.mul(s, x) for x in v)
+
+
 def _transvection_label(f, m):
-    """(hyperplane, center line) of a 3x3 matrix that is a scalar twist of a
+    """(row, column) factors of a 3x3 matrix that is a scalar twist of a
     transvection, or None.  The scalar must be a cube root of unity so the
-    determinant stays 1."""
+    determinant stays 1.
+
+    d = m - lam*I has rank one exactly when all its nonzero rows are
+    multiples of one row r; then d = c r with c its first nonzero column.
+    The fixed hyperplane ker d is determined by r and the center line by c.
+    """
     for lam in range(1, f.q):
         if f.pow(lam, 3) != 1:
             continue
-        d = tuple(
-            f.sub(m[3 * i + j], lam if i == j else 0)
-            for i in range(3)
-            for j in range(3)
-        )
-        if linalg.rank(f, 3, 3, d) != 1:
+        d = [[f.sub(m[3 * i + j], lam if i == j else 0) for j in range(3)]
+             for i in range(3)]
+        rows = {_line(f, row) for row in d if any(row)}
+        if len(rows) != 1:
             continue
-        ker = linalg.kernel(f, 3, 3, d)
-        hyper = tuple(sorted(linalg.normalize_vector(f, k) for k in ker))
-        dt = linalg.transpose(3, d)
-        col = next(
-            linalg.normalize_vector(f, dt[3 * i:3 * i + 3])
-            for i in range(3)
-            if any(dt[3 * i:3 * i + 3])
-        )
-        return hyper, col
+        col = next(_line(f, c) for c in zip(*d) if any(c))
+        return rows.pop(), col
     return None
 
 
@@ -121,40 +122,22 @@ def grid_labels(g: cg.CommGraph):
     On a 3x3 matrix group (or a central quotient of one), a vertex gets the
     pair (fixed hyperplane, center line) when its representative matrix,
     shifted by some cube root of unity, has rank one.  Returns aligned
-    (row_labels, col_labels) lists, or None as soon as one vertex has no
-    such label; commuting then runs exactly along shared rows or columns,
-    which is the grid certificate's premise.
+    (row_labels, col_labels) lists, or None when the graph has no group
+    provenance or as soon as one vertex has no such label; commuting then
+    runs exactly along shared rows or columns, which is the grid
+    certificate's premise.
     """
-    G = g.group
-    if G is None or g.vids is None:
+    if g.group is None or g.vids is None:
         return None
-    kind = G.kind
-    unwrap = None
-    if isinstance(kind, CosetKind):
-        unwrap, kind = kind, kind.base
-    if not isinstance(kind, MatKind) or kind.n != 3:
-        return None
-    f = kind.field
-    rows_out, cols_out = [], []
-    for u in range(g.n):
-        p = G.elems[g.vids[u]]
-        if unwrap is not None:
-            p = unwrap.rep(p)
-        label = _transvection_label(f, kind.mat(p))
-        if label is None:
-            return None
-        rows_out.append(label[0])
-        cols_out.append(label[1])
-    return rows_out, cols_out
+    return grid_labels_from_encodings(g.render_vertex(u) for u in range(g.n))
 
 
 def grid_labels_from_encodings(encodings):
-    """grid_labels for a cache-restored graph, working from vertex encodings.
+    """grid_labels working from vertex encodings, in vertex order.
 
     Accepts only mat:q:3:... encodings (a leading coset: wrapper is fine);
-    anything else means no labels.  Field codes are interpreted in the same
-    default field model the builders use, so the labels agree with the
-    group-backed computation.
+    anything else means no labels, and the encodings are read no further.
+    Field codes are interpreted in the default field model the builders use.
     """
     from .gf import field_of_size
 
@@ -189,50 +172,45 @@ def analyze(spec: str, include_center: bool = False, collapse: bool = True,
     include_center analyzes the graph on all of G instead of the reduced
     one (small groups only); cached short-circuits the graph pipeline with
     a previously exported reduced+collapsed graph.  Guard and construction
-    errors propagate to the caller.
+    errors propagate to the caller, and so does a PcgError for a witness
+    that fails its graph-level or element-level re-verification.
     """
     t0 = time.perf_counter()
-    G = build(spec)
-    key = G.name
+    key = render_spec(parse_spec(spec))
+    G = build(key)
     order = len(G)
     center = len(G.center())
     quasisimple = G.is_quasisimple()
-    labels = None
     if cached is not None:
         graph = cached.graph
         reduced_n = cached.reduced_n
         # reduced graph emptiness is the definition of an AC-group
         ac_group = reduced_n == 0
-        if collapse and graph.n:
-            labels = grid_labels_from_encodings(cached.encodings)
-    elif include_center:
-        graph = cg.build_graph(G, include_center=True)
+        render = cached.encodings.__getitem__
+    else:
+        if include_center:
+            graph = cg.build_graph(G, include_center=True)
+        else:
+            graph = cg.build_reduced(G)
         reduced_n = graph.n
         ac_group = G.is_ac_group()
         if collapse:
             graph = cg.collapse_twins(graph)
-    else:
-        graph = cg.build_reduced(G)
-        reduced_n = graph.n
-        ac_group = G.is_ac_group()  # free: reduced vertices already computed
-        if collapse:
-            graph = cg.collapse_twins(graph)
-            labels = grid_labels(graph)
+        render = graph.render_vertex
     collapsed_n = graph.n
-    if labels is None:
-        verdict = perf.is_berge(graph, budget=budget, max_len=max_len)
-    else:
-        verdict = perf.is_berge(graph, budget=budget, max_len=max_len,
-                                row_labels=labels[0], col_labels=labels[1])
+    labels = None
+    if collapse:
+        labels = grid_labels_from_encodings(map(render, range(graph.n)))
+    rows, cols = labels or (None, None)
+    verdict = perf.is_berge(graph, budget=budget, max_len=max_len,
+                            row_labels=rows, col_labels=cols)
     witness = verdict.witness
     encodings = None
     if witness is not None:
-        if not verify_witness(graph, witness):
+        encodings = tuple(render(v) for v in witness.vertices)
+        if not (verify_witness(graph, witness)
+                and _verify_elements(G, key, witness, encodings)):
             raise PcgError(f"{key}: witness failed re-verification")
-        if cached is not None:
-            encodings = tuple(cached.encodings[v] for v in witness.vertices)
-        else:
-            encodings = tuple(graph.render_vertex(v) for v in witness.vertices)
     expected = EXPECTED.get(key, UNTABLED)
     if expected == UNTABLED:
         match = None
@@ -256,6 +234,20 @@ def analyze(spec: str, include_center: bool = False, collapse: bool = True,
         expected=expected,
         match=match,
     )
+
+
+def _verify_elements(G, key: str, witness: Witness, encodings) -> bool:
+    """Re-check a witness from group elements alone: every encoding must
+    decode to an element of G, and the elements must commute exactly in the
+    witness's pattern."""
+    elems = []
+    for enc in encodings:
+        p = G.kind.parse_render(enc)
+        if p not in G.index:
+            return False
+        elems.append(wit.Element(G.kind, p))
+    head = "hole" if witness.kind == "odd-hole" else "antihole"
+    return wit.ElementTuple(key, f"{head}-{witness.length}", elems).verify()
 
 
 @dataclass(frozen=True)

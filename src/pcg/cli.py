@@ -3,15 +3,16 @@
 Certificates are five-line UTF-8 files that name a group, a pattern kind,
 and the ordered element encodings of the pattern's vertices; they parse
 back and re-verify against a freshly built graph.  Graph caching stores
-DIMACS plus a vertex encoding table, one file per (spec, include-center,
-reduced, collapsed) combination, written atomically; the PCG_CACHE_DIR
-environment variable supplies a default cache directory.
+DIMACS plus a vertex encoding table under a SHA-256 digest, one file per
+(spec, include-center, reduced, collapsed) combination, written atomically;
+the PCG_CACHE_DIR environment variable supplies a default cache directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import re
 import sys
@@ -168,21 +169,39 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_cache(path: str, graph: cg.CommGraph, spec: str) -> tuple[str, ...]:
-    """DIMACS body prefixed with a vertex encoding table; returns the table."""
+    """DIMACS body prefixed with a vertex encoding table, under a header
+    naming the format version, the spec and the SHA-256 of the rest of the
+    file; returns the table."""
     encodings = tuple(graph.render_vertex(u) for u in range(graph.n))
-    head = [f"c pcg-cache {CACHE_VERSION}", f"c spec {spec}"]
-    head.extend(f"c v {u} {enc}" for u, enc in enumerate(encodings))
-    _atomic_write(path, "\n".join(head) + "\n" + cg.to_dimacs(graph))
+    body = "".join(f"c v {u} {enc}\n" for u, enc in enumerate(encodings))
+    body += cg.to_dimacs(graph)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    _atomic_write(path, f"c pcg-cache {CACHE_VERSION}\nc spec {spec}\n"
+                        f"c sha256 {digest}\n{body}")
     return encodings
 
 
+def _cache_names(spec: str) -> set[str]:
+    """File names _cache_path gives the spec's graphs, in any variant."""
+    return {_cache_path("", spec, *flags)
+            for flags in itertools.product((False, True), repeat=3)}
+
+
 def read_cache(path: str):
-    """(graph, encodings) from a cache file, or None when absent/corrupt."""
+    """(graph, encodings) from a cache file, or None when it is absent or
+    corrupt: another format version, a spec line that does not name the
+    file, or a body that does not match its digest."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
+    head = re.fullmatch(rf"c pcg-cache {CACHE_VERSION}\nc spec (\S+)\n"
+                        r"c sha256 ([0-9a-f]{64})\n(.*)", text, re.DOTALL)
+    if (head is None or os.path.basename(path) not in _cache_names(head[1])
+            or hashlib.sha256(head[3].encode()).hexdigest() != head[2]):
+        return None
+    text = head[3]
     try:
         graph = cg.read_dimacs(text)
         encs: dict[int, str] = {}
@@ -395,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("export", help="write a graph in DIMACS form")
     e.add_argument("spec")
-    e.add_argument("--format", choices=("dimacs",), default="dimacs")
     e.add_argument("-o", "--output", metavar="FILE")
     e.add_argument("--reduced", action="store_true")
     e.add_argument("--collapsed", action="store_true")

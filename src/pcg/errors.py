@@ -5,10 +5,6 @@ class PcgError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class FieldMismatchError(PcgError):
-    """Arithmetic attempted between elements of different fields."""
-
-
 class GuardError(PcgError):
     """A size or parameter guard was exceeded."""
 

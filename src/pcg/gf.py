@@ -9,7 +9,7 @@ is x^3 + x + 1 (so alpha = x satisfies alpha^3 + alpha = 1).
 
 from __future__ import annotations
 
-from .errors import FieldMismatchError, GuardError
+from .errors import GuardError
 
 SIZE_LIMIT = 1 << 16
 _TABLE_LIMIT = 4096  # dense add/mul tables are kept for q below this
@@ -296,76 +296,3 @@ def field_of_size(q: int) -> Field:
         k += 1
     return ff_make(p, k)
 
-
-class Fel:
-    """A field element that carries its field identity.
-
-    Thin wrapper over an integer code; mixing fields raises.
-    """
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        if not 0 <= code < field.q:
-            raise GuardError(f"code {code} out of range for {field!r}")
-        self.field = field
-        self.code = code
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Fel(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Fel(self.field, self.field.sub(self.code, other.code))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Fel(self.field, self.field.mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return Fel(self.field, self.field.div(self.code, other.code))
-
-    def __neg__(self):
-        return Fel(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e):
-        return Fel(self.field, self.field.pow(self.code, e))
-
-    def _coerce(self, other):
-        if isinstance(other, Fel):
-            if other.field != self.field:
-                raise FieldMismatchError(f"{self.field!r} vs {other.field!r}")
-            return other
-        if isinstance(other, int):
-            # small integers mean repeated sums of 1
-            f = self.field
-            code = (other % f.p + f.p) % f.p
-            return Fel(f, code)
-        return NotImplemented
-
-    def inv(self):
-        return Fel(self.field, self.field.inv(self.code))
-
-    def frobenius(self):
-        return Fel(self.field, self.field.frobenius(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self == self._coerce(other)
-        return (
-            isinstance(other, Fel)
-            and self.field == other.field
-            and self.code == other.code
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __repr__(self):
-        return f"Fel({self.field!r}, {self.code})"
-
-    def render(self) -> str:
-        """Text encoding: the integer code in decimal."""
-        return str(self.code)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapError, ConstructionError, PcgError
-from .gf import Field
+from .gf import Field, _is_prime
 
 DEFAULT_CAP = 2_000_000
 _CHUNK = 4096  # closure chunk size; part of the deterministic ordering
@@ -36,17 +36,6 @@ def _st(count: int) -> struct.Struct:
     if s is None:
         s = _STRUCTS[count] = struct.Struct(f">{count}H")
     return s
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _forced_abelian(n: int) -> bool:
@@ -81,17 +70,30 @@ class Kind:
     def parse_render(self, s: str) -> bytes:
         raise NotImplementedError
 
-    # bulk fallbacks -----------------------------------------------------
+    # bulk operations: numpy through to_array/mul_arrays/from_array when the
+    # kind is bulk, per-element loops otherwise ----------------------------
 
     def mul_all(self, payloads, v, side="right", arr=None):
-        mul = self.mul
-        if side == "right":
-            return [mul(x, v) for x in payloads]
-        return [mul(v, x) for x in payloads]
+        if not self.bulk:
+            mul = self.mul
+            if side == "right":
+                return [mul(x, v) for x in payloads]
+            return [mul(v, x) for x in payloads]
+        if arr is None:
+            arr = self.to_array(payloads)
+        V = self.to_array([v])[0]
+        out = self.mul_arrays(arr, V) if side == "right" else self.mul_arrays(V, arr)
+        return self.from_array(out)
 
     def commute_mask(self, payloads, v, arr=None):
-        mul = self.mul
-        return np.array([mul(x, v) == mul(v, x) for x in payloads], dtype=bool)
+        if not self.bulk:
+            mul = self.mul
+            return np.array([mul(x, v) == mul(v, x) for x in payloads], dtype=bool)
+        if arr is None:
+            arr = self.to_array(payloads)
+        V = self.to_array([v])[0]
+        eq = self.mul_arrays(arr, V) == self.mul_arrays(V, arr)
+        return eq.all(axis=tuple(range(1, eq.ndim)))
 
 
 class PermKind(Kind):
@@ -166,19 +168,6 @@ class PermKind(Kind):
         if A.ndim == 1 and B.ndim == 2:
             return A[B]
         return np.take_along_axis(A, B, axis=1)
-
-    def mul_all(self, payloads, v, side="right", arr=None):
-        if arr is None:
-            arr = self.to_array(payloads)
-        V = self.to_array([v])[0]
-        out = self.mul_arrays(arr, V) if side == "right" else self.mul_arrays(V, arr)
-        return self.from_array(out)
-
-    def commute_mask(self, payloads, v, arr=None):
-        if arr is None:
-            arr = self.to_array(payloads)
-        V = self.to_array([v])[0]
-        return (self.mul_arrays(arr, V) == self.mul_arrays(V, arr)).all(axis=1)
 
     def __eq__(self, other):
         return isinstance(other, PermKind) and other.deg == self.deg
@@ -261,21 +250,6 @@ class MatKind(Kind):
         for k in range(1, self.n):
             out = AT[out, T[..., k, :]]
         return out
-
-    def mul_all(self, payloads, v, side="right", arr=None):
-        if arr is None:
-            arr = self.to_array(payloads)
-        V = self.to_array([v])[0]
-        out = self.mul_arrays(arr, V) if side == "right" else self.mul_arrays(V, arr)
-        return self.from_array(out)
-
-    def commute_mask(self, payloads, v, arr=None):
-        if arr is None:
-            arr = self.to_array(payloads)
-        V = self.to_array([v])[0]
-        L = self.mul_arrays(arr, V)
-        R = self.mul_arrays(V, arr)
-        return (L == R).all(axis=(1, 2))
 
     def __eq__(self, other):
         return (
@@ -417,9 +391,7 @@ class PairKind(Kind):
             a, b = self.split(p)
             lefts.append(a)
             rights.append(b)
-        ml = self.left.commute_mask(lefts, vl)
-        mr = self.right.commute_mask(rights, vr)
-        return np.asarray(ml, dtype=bool) & np.asarray(mr, dtype=bool)
+        return self.left.commute_mask(lefts, vl) & self.right.commute_mask(rights, vr)
 
     def __eq__(self, other):
         return (
@@ -492,22 +464,14 @@ class CosetKind(Kind):
     def mul_arrays(self, A, B):
         return self.base.mul_arrays(A, B)
 
-    def mul_all(self, payloads, v, side="right", arr=None):
-        if not self.bulk:
-            return Kind.mul_all(self, payloads, v, side)
-        if arr is None:
-            arr = self.to_array(payloads)
-        V = self.base.to_array([v[1:]])[0]
-        out = self.mul_arrays(arr, V) if side == "right" else self.mul_arrays(V, arr)
-        return self.from_array(out)
-
     def commute_mask(self, payloads, v, arr=None):
+        # cosets commute when xv = z vx for some z in the central subgroup
         if not self.bulk:
             return Kind.commute_mask(self, payloads, v)
         base = self.base
         if arr is None:
             arr = self.to_array(payloads)
-        V = base.to_array([v[1:]])[0]
+        V = self.to_array([v])[0]
         L = self.mul_arrays(arr, V)
         R = self.mul_arrays(V, arr)
         mask = None
@@ -627,21 +591,22 @@ def generate(gens, cap: int = DEFAULT_CAP, name: str = "") -> "Group":
     return Group(kind, elems, payloads, name=name, _index=index)
 
 
-def _greedy_gens(kind: Kind, elems) -> list[bytes]:
-    """Small generating set found greedily in element order."""
+def _greedy_gen_indices(kind: Kind, elems) -> list[int]:
+    """Indices of a small generating set of the group elems, found greedily
+    in element order."""
     total = len(elems)
-    idp = kind.identity()
-    gens: list[bytes] = []
-    have = {idp}
-    for x in elems:
-        if x in have:
-            continue
-        gens.append(x)
-        closed, _ = _mulclose(kind, gens, cap=total)
-        have = set(closed)
+    out: list[int] = []
+    have = {kind.identity()}
+    for i, x in enumerate(elems):
         if len(have) == total:
             break
-    return gens
+        if x not in have:
+            out.append(i)
+            closed, _ = _mulclose(kind, [elems[j] for j in out], cap=total)
+            have = set(closed)
+    if len(have) != total:
+        raise ConstructionError("could not generate group from its own elements")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -714,23 +679,30 @@ class Group:
 
     # -- masks ------------------------------------------------------------
 
-    def commute_mask(self, i: int, subset=None):
-        """Boolean mask of elements commuting with element i."""
-        v = self.elems[i]
-        if subset is None:
-            return np.asarray(self.kind.commute_mask(self.elems, v, arr=self.arr()), dtype=bool)
-        payloads = [self.elems[j] for j in subset]
+    def block(self, indices):
+        """(payloads, array block) of the elements at the given indices; the
+        block is None when the kind has no bulk arithmetic."""
+        indices = list(indices)
+        payloads = [self.elems[j] for j in indices]
         arr = None
         if self.kind.bulk:
-            arr = self.arr()[np.asarray(subset, dtype=np.int64)]
-        return np.asarray(self.kind.commute_mask(payloads, v, arr=arr), dtype=bool)
+            arr = self.arr()[np.asarray(indices, dtype=np.int64)]
+        return payloads, arr
+
+    def commute_mask(self, i: int, subset=None):
+        """Boolean mask of elements commuting with element i."""
+        if subset is None:
+            payloads, arr = self.elems, self.arr()
+        else:
+            payloads, arr = self.block(subset)
+        return self.kind.commute_mask(payloads, self.elems[i], arr=arr)
 
     def center(self) -> tuple[int, ...]:
         if self._center is None:
             n = len(self)
             mask = np.ones(n, dtype=bool)
             for g in self.gens:
-                mask &= np.asarray(self.kind.commute_mask(self.elems, g, arr=self.arr()), dtype=bool)
+                mask &= self.kind.commute_mask(self.elems, g, arr=self.arr())
             self._center = tuple(int(i) for i in np.flatnonzero(mask))
         return self._center
 
@@ -738,16 +710,9 @@ class Group:
         return [int(j) for j in np.flatnonzero(self.commute_mask(i))]
 
     def is_abelian_subset(self, indices) -> bool:
-        indices = list(indices)
-        payloads = [self.elems[j] for j in indices]
-        arr = None
-        if self.kind.bulk and indices:
-            arr = self.arr()[np.asarray(indices, dtype=np.int64)]
-        for p in payloads:
-            m = np.asarray(self.kind.commute_mask(payloads, p, arr=arr), dtype=bool)
-            if not m.all():
-                return False
-        return True
+        payloads, arr = self.block(indices)
+        return all(self.kind.commute_mask(payloads, p, arr=arr).all()
+                   for p in payloads)
 
     def is_abelian(self) -> bool:
         return len(self.center()) == len(self)
@@ -986,7 +951,7 @@ def fiber_product(A: Group, B: Group, QA: Group, QB: Group, iso, name: str = "")
         t = iso[QA.proj[ai]]
         for bi in buckets[t]:
             elems.append(pk.pack(A.elems[ai], B.elems[bi]))
-    gens = _greedy_gens(pk, elems)
+    gens = [elems[i] for i in _greedy_gen_indices(pk, elems)]
     G = Group(pk, elems, gens, name=name)
     if len(G) != len(A) * ker:
         raise ConstructionError("fiber product size mismatch")
@@ -1011,23 +976,6 @@ def fiber_product(A: Group, B: Group, QA: Group, QB: Group, iso, name: str = "")
 # isomorphism search between central quotients
 
 
-def _greedy_gen_indices(Q: Group) -> list[int]:
-    total = len(Q)
-    gens: list[bytes] = []
-    out: list[int] = []
-    have = {Q.kind.identity()}
-    for i, x in enumerate(Q.elems):
-        if x in have:
-            continue
-        gens.append(x)
-        out.append(i)
-        closed, _ = _mulclose(Q.kind, gens, cap=total)
-        have = set(closed)
-        if len(have) == total:
-            return out
-    raise ConstructionError("could not generate group from its own elements")
-
-
 def quotient_align(Q1: Group, Q2: Group, budget: int = 10_000_000):
     """Search for an isomorphism Q1 -> Q2 as an index mapping.
 
@@ -1044,7 +992,7 @@ def quotient_align(Q1: Group, Q2: Group, budget: int = 10_000_000):
     if fp1 != fp2:
         return None
 
-    gens = _greedy_gen_indices(Q1)
+    gens = _greedy_gen_indices(Q1.kind, Q1.elems)
     ngens = len(gens)
 
     # one deterministic pass over Q1's multiplication by its generators;

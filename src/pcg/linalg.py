@@ -26,38 +26,6 @@ def mat_mul(f: Field, n: int, a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mat_vec(f: Field, n: int, a, v) -> tuple[int, ...]:
-    mul, add = f.mul, f.add
-    out = []
-    for i in range(n):
-        s = 0
-        for k in range(n):
-            s = add(s, mul(a[i * n + k], v[k]))
-        out.append(s)
-    return tuple(out)
-
-
-def transpose(n: int, a) -> tuple[int, ...]:
-    return tuple(a[j * n + i] for i in range(n) for j in range(n))
-
-
-def scalar_mat(n: int, c: int) -> tuple[int, ...]:
-    return tuple(c if i == j else 0 for i in range(n) for j in range(n))
-
-
-def is_scalar(n: int, a) -> bool:
-    c = a[0]
-    for i in range(n):
-        for j in range(n):
-            if a[i * n + j] != (c if i == j else 0):
-                return False
-    return True
-
-
-def mat_map(f: Field, a, fn) -> tuple[int, ...]:
-    return tuple(fn(x) for x in a)
-
-
 def frobenius_mat(f: Field, a, times: int = 1) -> tuple[int, ...]:
     e = f.p**times
     return tuple(f.pow(x, e) for x in a)
@@ -109,64 +77,3 @@ def det(f: Field, n: int, a) -> int:
                 c = f.mul(s, m[r][col])
                 m[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(m[r], m[col])]
     return d
-
-
-def rref(f: Field, rows: list[list[int]]) -> list[list[int]]:
-    """Reduced row echelon form of a list of row vectors."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    lead = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(lead, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[lead], m[piv] = m[piv], m[lead]
-        s = f.inv(m[lead][col])
-        m[lead] = [f.mul(s, x) for x in m[lead]]
-        for r in range(nrows):
-            if r != lead and m[r][col]:
-                c = m[r][col]
-                m[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(m[r], m[lead])]
-        lead += 1
-        if lead == nrows:
-            break
-    m = [r for r in m if any(r)]
-    return m
-
-
-def kernel(f: Field, nrows: int, ncols: int, a) -> list[tuple[int, ...]]:
-    """Basis of the right kernel of an nrows x ncols matrix (flat tuple)."""
-    m = rref(f, [list(a[i * ncols:(i + 1) * ncols]) for i in range(nrows)])
-    pivots = []
-    for row in m:
-        for j, x in enumerate(row):
-            if x:
-                pivots.append(j)
-                break
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for fcol in free:
-        v = [0] * ncols
-        v[fcol] = 1
-        for row, pcol in zip(m, pivots):
-            v[pcol] = f.neg(row[fcol])
-        basis.append(tuple(v))
-    return basis
-
-
-def rank(f: Field, nrows: int, ncols: int, a) -> int:
-    return len(rref(f, [list(a[i * ncols:(i + 1) * ncols]) for i in range(nrows)]))
-
-
-def normalize_vector(f: Field, v) -> tuple[int, ...]:
-    """Scale so the first nonzero coordinate is 1 (canonical line label)."""
-    for x in v:
-        if x:
-            s = f.inv(x)
-            return tuple(f.mul(s, y) for y in v)
-    return tuple(v)

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from pcg import classify
-from pcg.cg import build_reduced, collapse_twins
+from pcg.cg import CommGraph, build_reduced, collapse_twins
 from pcg.classify import (
     NOT_PERFECT,
     PERFECT,
@@ -17,7 +17,7 @@ from pcg.classify import (
     run_suite,
     suite_line,
 )
-from pcg.errors import GuardError
+from pcg.errors import GuardError, PcgError
 from pcg.named import build
 from pcg.perf import is_berge
 
@@ -111,15 +111,60 @@ def test_analyze_guard_propagates():
         analyze("sym:10")
 
 
-def test_verdict_uses_grid_labels_for_sl32():
-    r = analyze("sl:3:2")
-    assert r.certificate == "grid"
-    g = collapse_twins(build_reduced(build("sl:3:2")))
+@pytest.mark.parametrize("spec, grid", [
+    ("sl:3:2", True), ("3a6", True), ("sl:3:3", False),
+])
+def test_verdict_uses_grid_labels_for_sl32(spec, grid):
+    g = collapse_twins(build_reduced(build(spec)))
     labels = grid_labels(g)
+    if not grid:
+        assert labels is None
+        assert analyze(spec).certificate != "grid"
+        return
+    assert analyze(spec).certificate == "grid"
     assert labels is not None
     rows, cols = labels
     assert len(rows) == g.n == len(cols)
     assert is_berge(g, row_labels=rows, col_labels=cols).certificate == "grid"
+    # labels read back from the encodings a cache file stores are the same
+    encodings = [g.render_vertex(u) for u in range(g.n)]
+    assert classify.grid_labels_from_encodings(encodings) == labels
+
+
+def test_grid_labels_need_group_provenance():
+    g = collapse_twins(build_reduced(build("sl:3:2")))
+    assert grid_labels(CommGraph(g.n, g.rows)) is None
+
+
+def test_analyze_keys_report_on_given_spec():
+    # both specs denote one memoized group object; each report must still
+    # carry the spec it was asked about
+    assert build("psl:2:13") is build("cq(sl:2:13)")
+    r = analyze("psl:2:13")
+    assert r.spec == "psl:2:13"
+    assert r.expected == NOT_PERFECT
+    assert r.match is True
+    r = analyze("cq(sl:2:13)")
+    assert r.spec == "cq(sl:2:13)"
+    assert r.expected == UNTABLED
+
+
+def test_cached_witness_is_rechecked_from_elements():
+    # alt:6's collapsed graph less one edge holds an odd hole; the cached
+    # path must not turn that into a NotPerfect verdict
+    G = build("alt:6")
+    g = collapse_twins(build_reduced(G))
+    u, v = next(g.edges())
+    rows = list(g.rows)
+    rows[u] &= ~(1 << v)
+    rows[v] &= ~(1 << u)
+    cached = classify.CachedGraph(
+        graph=CommGraph(g.n, rows),
+        reduced_n=len(G.reduced_vertices()),
+        encodings=tuple(g.render_vertex(w) for w in range(g.n)),
+    )
+    with pytest.raises(PcgError, match="re-verification"):
+        analyze("alt:6", cached=cached)
 
 
 def test_ac_rows_certify_as_clique_unions():

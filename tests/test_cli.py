@@ -5,7 +5,7 @@ import os
 import pytest
 
 from pcg import cli
-from pcg.cg import read_dimacs, read_dimacs_file, to_dimacs
+from pcg.cg import build_reduced, read_dimacs, read_dimacs_file, to_dimacs
 from pcg.cli import (
     Certificate,
     certificate_tuple,
@@ -15,6 +15,7 @@ from pcg.cli import (
     verify_certificate,
 )
 from pcg.errors import CertificateError, PcgError
+from pcg.named import build
 
 
 def _cert(kind="odd-hole", length=5, spec="sym:5", encodings=None):
@@ -159,6 +160,57 @@ def test_main_analyze_cache_recovers_from_corruption(tmp_path, capsys):
     assert "verdict Perfect" in out
     # the corrupt file was rebuilt
     assert read_dimacs_file(victim).n in (21,)
+
+
+def test_main_analyze_cache_rejects_tampered_graph(tmp_path, capsys):
+    # one edge less, with the header count fixed, turns alt:6's collapsed
+    # graph NotBerge; the digest line must send it back for a rebuild
+    d = str(tmp_path / "cache")
+    main(["analyze", "alt:6", "--cache-dir", d])
+    capsys.readouterr()
+    path = cli._cache_path(d, "alt:6", False, True, True)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines.remove(next(line for line in lines if line.startswith("e ")))
+    header = next(i for i, line in enumerate(lines) if line.startswith("p "))
+    _, _, n, m = lines[header].split()
+    lines[header] = f"p edge {n} {int(m) - 1}"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc = main(["analyze", "alt:6", "--cache-dir", d])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "verdict Perfect" in out
+    assert "match yes" in out
+
+
+def test_read_cache_checks_header(tmp_path):
+    d = str(tmp_path)
+    graph = build_reduced(build("sym:5"))
+    path = cli._cache_path(d, "sym:5", False, True, False)
+    encodings = cli.write_cache(path, graph, "sym:5")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.splitlines()[2].startswith("c sha256 ")
+    got, got_encodings = cli.read_cache(path)
+    assert got == graph and got_encodings == encodings
+
+    def read_as(name, body):
+        other = os.path.join(d, name)
+        with open(other, "w", encoding="utf-8") as fh:
+            fh.write(body)
+        return cli.read_cache(other)
+
+    # another spec's file name, another format version, a stale digest,
+    # bytes that are not UTF-8
+    name = os.path.basename(path)
+    other = os.path.basename(cli._cache_path(d, "sym:6", False, True, False))
+    assert read_as(other, text) is None
+    assert read_as(name, text.replace("c pcg-cache 1", "c pcg-cache 2")) is None
+    assert read_as(name, text.replace("c v 0 ", "c v 0 x")) is None
+    with open(path, "wb") as fh:
+        fh.write(b"\xff" + text.encode())
+    assert cli.read_cache(path) is None
 
 
 def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):

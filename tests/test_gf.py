@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from pcg.errors import FieldMismatchError, GuardError
-from pcg.gf import Fel, Field, ff_make, field_of_size
+from pcg.errors import GuardError
+from pcg.gf import Field, ff_make, field_of_size
 
 
 def test_gf8_generator_relation():
@@ -143,28 +143,6 @@ def test_np_tables_match_scalar_ops():
         for b in f.elements():
             assert int(mul[a, b]) == f.mul(a, b)
             assert int(add[a, b]) == f.add(a, b)
-
-
-def test_fel_wrapper_arithmetic():
-    f = ff_make(2, 3)
-    a = Fel(f, f.x)
-    assert (a + a).code == 0
-    assert (a * a).code == f.mul(f.x, f.x)
-    assert (a ** 3) == a + 1  # ints coerce to repeated sums of 1
-    assert (-a) == a
-    assert a / a == Fel(f, 1)
-    assert a.inv() * a == Fel(f, 1)
-    assert a.frobenius() == a * a
-    assert a.render() == str(f.x)
-
-
-def test_fel_rejects_field_mixing():
-    a = Fel(ff_make(2, 3), 1)
-    b = Fel(ff_make(3, 2), 1)
-    with pytest.raises(FieldMismatchError):
-        a + b
-    with pytest.raises(GuardError):
-        Fel(ff_make(2, 2), 5)  # code out of range
 
 
 def test_large_field_without_tables():

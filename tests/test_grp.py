@@ -18,6 +18,7 @@ from pcg.grp import (
     generate,
     quotient_align,
 )
+from pcg.named import build
 
 
 def _perm_group(deg, *gens):
@@ -192,14 +193,25 @@ def test_element_order_matches_elements():
         assert G.element_order(i) == G.element(i).order()
 
 
-def test_commute_mask_against_bruteforce():
-    G = _perm_group(4, [(1, 2)], [(1, 2, 3, 4)])
+@pytest.mark.parametrize("spec, kind", [
+    ("sym:4", "PermKind"),
+    ("sl:2:4", "MatKind"),               # bulk matrices over GF(4)
+    ("psl:2:5", "CosetKind"),            # central quotient
+    ("prod(sym:3,sym:3)", "PairKind"),   # no bulk arithmetic
+])
+def test_commute_mask_against_bruteforce(spec, kind):
+    G = build(spec)
+    assert type(G.kind).__name__ == kind
     for i in range(len(G)):
         mask = G.commute_mask(i)
         ei = G.element(i)
         for j in range(len(G)):
             expected = ei.commutes_with(G.element(j))
             assert bool(mask[j]) == expected
+    k = G.kind
+    for v in G.elems[1:4]:
+        assert k.mul_all(G.elems, v, "right") == [k.mul(x, v) for x in G.elems]
+        assert k.mul_all(G.elems, v, "left") == [k.mul(v, x) for x in G.elems]
 
 
 def test_reduced_vertices():
