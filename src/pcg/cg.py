@@ -12,7 +12,10 @@ keep the Berge verdict unchanged:
 
 Adjacency rows are arbitrary-width python-int bitsets; vertex order follows
 group element order, so rebuilding a graph from the same spec reproduces it
-bit for bit.
+bit for bit.  Both vertex sets are unions of conjugacy classes, and
+conjugation is a graph automorphism: one commuting mask is computed per
+class and every other row of the class is that row transported along the
+generator conjugation maps.
 """
 
 from __future__ import annotations
@@ -119,25 +122,53 @@ def _mask_to_bitset(mask) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
+def _unpack(row: int, n: int):
+    raw = np.frombuffer(row.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:n]
+
+
 def _subrows(rows, n, keep):
     """Rows of the induced subgraph on the sorted vertex list keep."""
-    nbytes = (n + 7) // 8
     sel = np.asarray(keep, dtype=np.int64)
-    out = []
-    for u in keep:
-        raw = np.frombuffer(rows[u].to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")[:n]
-        out.append(_mask_to_bitset(bits[sel]))
-    return out
+    return [_mask_to_bitset(_unpack(rows[u], n)[sel]) for u in keep]
 
 
 def _adjacency(G: Group, vids) -> list[int]:
+    """Rows on vids, which must be a union of conjugacy classes.
+
+    One commute_mask per class; every other row of the class is transported
+    along the generator conjugation maps, since y commutes with x exactly
+    when y^g commutes with x^g.  Rows are packed as they are made and
+    unpacked once each when the walk leaves them.
+    """
+    m = len(vids)
+    sel = np.asarray(vids, dtype=np.int64)
+    where = np.full(len(G), -1, dtype=np.int64)
+    where[sel] = np.arange(m)
+    # perms[k][u]: position of vertex u conjugated by generator k
+    perms = [where[np.asarray(cm)[sel]] for cm in G.conjugation_maps()]
+    if any((p < 0).any() for p in perms):
+        raise PcgError("adjacency needs a vertex set closed under conjugation")
     payloads, arr = G.block(vids)
-    rows = []
-    for pos, p in enumerate(payloads):
-        mask = G.kind.commute_mask(payloads, p, arr=arr)
-        mask[pos] = False
-        rows.append(_mask_to_bitset(mask))
+    rows: list[int | None] = [None] * m
+    for cls in G.conjugacy_classes():
+        start = int(where[cls[0]])
+        if start < 0:
+            continue
+        mask = G.kind.commute_mask(payloads, payloads[start], arr=arr)
+        mask[start] = False
+        rows[start] = _mask_to_bitset(mask)
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            row = _unpack(rows[u], m)
+            for perm in perms:
+                v = int(perm[u])
+                if rows[v] is None:
+                    moved = np.empty(m, dtype=bool)
+                    moved[perm] = row
+                    rows[v] = _mask_to_bitset(moved)
+                    stack.append(v)
     return rows
 
 

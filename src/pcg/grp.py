@@ -719,7 +719,9 @@ class Group:
 
     # -- conjugacy ---------------------------------------------------------
 
-    def _conj_maps(self):
+    def conjugation_maps(self) -> list[list[int]]:
+        """One index map per generator g: maps[k][i] is the index of
+        g^-1 x g for x = elems[i]."""
         if self._conj is None:
             maps = []
             for g in self.gens:
@@ -733,7 +735,7 @@ class Group:
     def conjugacy_classes(self) -> list[list[int]]:
         if self._classes is None:
             n = len(self)
-            maps = self._conj_maps()
+            maps = self.conjugation_maps()
             seen = bytearray(n)
             classes = []
             class_of = [0] * n
@@ -801,13 +803,21 @@ class Group:
     # -- normal structure ----------------------------------------------------
 
     def _normal_closure_size(self, seeds) -> int:
+        """Order of the normal closure of the seed payloads.
+
+        A subgroup with more than |G|/2 elements is G itself (Lagrange), so
+        each closure stops there and the answer is then |G|.
+        """
         idp = self.kind.identity()
         seeds = sorted(set(seeds) - {idp})
         if not seeds:
             return 1
         n = len(self)
         while True:
-            elems, index = _mulclose(self.kind, seeds, cap=n)
+            try:
+                elems, index = _mulclose(self.kind, seeds, cap=n // 2)
+            except CapError:
+                return n
             new = []
             for s in seeds:
                 for g in self.gens:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from pcg.cg import (
@@ -86,6 +87,30 @@ def test_build_reduced():
     for u in range(r.n):
         i = r.vids[u]
         assert not G.is_abelian_subset(G.centralizer(i))
+
+
+@pytest.mark.parametrize("spec, kind, variants", [
+    ("sym:5", "PermKind", ("full", "center", "reduced")),
+    ("sl:2:4", "MatKind", ("full",)),            # bulk matrices over GF(4)
+    ("psl:2:5", "CosetKind", ("full",)),         # central quotient
+    ("prod(sym:3,sym:3)", "PairKind", ("full", "reduced")),  # no bulk
+    ("aut-sl2-8", "SemiKind", ("reduced",)),
+])
+def test_transported_rows_match_commute_masks(spec, kind, variants):
+    # one mask per conjugacy class, the rest transported by conjugation,
+    # must give exactly the rows computed one element at a time
+    G = build(spec)
+    assert type(G.kind).__name__ == kind
+    for variant in variants:
+        if variant == "reduced":
+            g = build_reduced(G)
+        else:
+            g = build_graph(G, include_center=variant == "center")
+        assert g.n > 0
+        for u, i in enumerate(g.vids):
+            mask = G.commute_mask(i, subset=g.vids)
+            mask[u] = False
+            assert g.rows[u] == sum(1 << int(v) for v in np.flatnonzero(mask))
 
 
 def test_reduced_vertex_encodings():

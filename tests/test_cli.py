@@ -79,6 +79,17 @@ def test_certificate_verifies_against_fresh_graph():
     assert not verify_certificate(bad)
 
 
+def test_certificate_outside_reduced_graph_is_rejected():
+    # 5-cycles of alt:5 have abelian centralizers, so they are no vertices
+    # of its reduced graph, whatever their commuting pattern
+    G = build("alt:5")
+    fives = [i for i in range(len(G)) if G.element_order(i) == 5][:5]
+    c = _cert(spec="alt:5", encodings=tuple(
+        G.kind.render(G.elems[i]) for i in fives))
+    with pytest.raises(PcgError, match="not a vertex"):
+        verify_certificate(c)
+
+
 def _analyze_report(spec):
     from pcg.classify import analyze
 

@@ -241,6 +241,33 @@ def test_perfect_simple_quasisimple():
     assert not sym3.is_simple()  # has a normal 3-cycle subgroup
 
 
+def test_normal_closure_stops_at_half_the_order():
+    # a closure larger than |G|/2 is all of G; one of exactly |G|/2 is not
+    sym4 = build("sym:4")
+    k = sym4.kind
+    assert sym4._normal_closure_size([k.from_cycles((1, 2), (3, 4))]) == 4
+    assert sym4._normal_closure_size([k.from_cycles((1, 2, 3))]) == 12
+    assert sym4._normal_closure_size([k.from_cycles((1, 2))]) == 24
+    assert sym4._normal_closure_size([k.identity()]) == 1
+
+
+@pytest.mark.parametrize("spec, perfect, simple, quasisimple", [
+    ("alt:5", True, True, True),
+    ("sym:5", False, False, False),
+    ("sl:2:5", True, False, True),
+    ("sl:3:3", True, True, True),
+    ("su:3:3", True, True, True),
+    ("psu:3:3", True, True, True),
+    ("3a6", True, False, True),
+    ("gl:2:3", False, False, False),
+])
+def test_group_predicates(spec, perfect, simple, quasisimple):
+    G = build(spec)
+    assert G.is_perfect_group() == perfect
+    assert G.is_simple() == simple
+    assert G.is_quasisimple() == quasisimple
+
+
 def test_central_quotient():
     # SL(2,3) has center {I, -I}; the quotient has order 12
     f = ff_make(3, 1)
