@@ -208,8 +208,12 @@ def analyze(spec: str, include_center: bool = False, collapse: bool = True,
     encodings = None
     if witness is not None:
         encodings = tuple(render(v) for v in witness.vertices)
-        if not (verify_witness(graph, witness)
-                and _verify_elements(G, key, witness, encodings)):
+        try:
+            ok = (verify_witness(graph, witness)
+                  and wit.decode(G, key, witness.kind, encodings).verify())
+        except PcgError as e:
+            raise PcgError(f"{key}: witness failed re-verification: {e}") from None
+        if not ok:
             raise PcgError(f"{key}: witness failed re-verification")
     expected = EXPECTED.get(key, UNTABLED)
     if expected == UNTABLED:
@@ -234,20 +238,6 @@ def analyze(spec: str, include_center: bool = False, collapse: bool = True,
         expected=expected,
         match=match,
     )
-
-
-def _verify_elements(G, key: str, witness: Witness, encodings) -> bool:
-    """Re-check a witness from group elements alone: every encoding must
-    decode to an element of G, and the elements must commute exactly in the
-    witness's pattern."""
-    elems = []
-    for enc in encodings:
-        p = G.kind.parse_render(enc)
-        if p not in G.index:
-            return False
-        elems.append(wit.Element(G.kind, p))
-    head = "hole" if witness.kind == "odd-hole" else "antihole"
-    return wit.ElementTuple(key, f"{head}-{witness.length}", elems).verify()
 
 
 @dataclass(frozen=True)

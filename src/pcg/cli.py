@@ -26,7 +26,6 @@ from .named import build, parse_spec, render_spec
 
 CERT_VERSION = 1
 CACHE_VERSION = 1
-CERT_KINDS = ("odd-hole", "odd-antihole", "four-chain")
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +43,10 @@ class Certificate:
     version: int = CERT_VERSION
 
     def __post_init__(self):
-        if self.kind not in CERT_KINDS:
-            raise CertificateError(f"bad certificate kind {self.kind!r}")
         if self.length != len(self.encodings):
             raise CertificateError("certificate length disagrees with vertex count")
-        if self.kind == "four-chain":
-            if self.length != 4:
-                raise CertificateError("four-chain certificates have four vertices")
-        elif self.length % 2 == 0 or self.length < (5 if self.kind == "odd-hole" else 7):
-            raise CertificateError(f"bad {self.kind} length {self.length}")
+        if not perf.pattern_ok(self.kind, self.length):
+            raise CertificateError(f"bad {self.kind} certificate of length {self.length}")
 
 
 def render_certificate(c: Certificate) -> str:
@@ -96,16 +90,7 @@ def parse_certificate(text: str) -> Certificate:
 
 def certificate_tuple(c: Certificate) -> wit.ElementTuple:
     """Decode the certificate's elements against its freshly built group."""
-    G = build(c.spec)
-    pattern = {
-        "odd-hole": f"hole-{c.length}",
-        "odd-antihole": f"antihole-{c.length}",
-        "four-chain": "chain-4",
-    }[c.kind]
-    elems = tuple(
-        wit.Element(G.kind, G.kind.parse_render(enc)) for enc in c.encodings
-    )
-    return wit.ElementTuple(c.spec, pattern, elems)
+    return wit.decode(build(c.spec), c.spec, c.kind, c.encodings)
 
 
 def verify_in_reduced(et: wit.ElementTuple, G) -> bool:
@@ -143,11 +128,9 @@ def _witness_certificate(report: classify.Report) -> Certificate:
 
 
 def tuple_certificate(et: wit.ElementTuple) -> Certificate:
-    head = et.pattern.split("-")[0]
-    kind = {"hole": "odd-hole", "antihole": "odd-antihole", "chain": "four-chain"}[head]
     return Certificate(
         spec=et.spec,
-        kind=kind,
+        kind=et.kind,
         length=len(et),
         encodings=tuple(et.renders()),
     )
@@ -331,7 +314,7 @@ def _make_witness(name: str, params: list[str]) -> wit.ElementTuple | None:
             quad = wit.find_4chain(graph)
             if quad is None:
                 raise PcgError(f"{K.name}: no four-chain to build on")
-            chain = wit.tuple_from_vertices(graph, quad, "chain-4")
+            chain = wit.tuple_from_vertices(graph, quad, "four-chain")
         return wit.witness_chain_product(K, chain, build(lspec))
     return None
 

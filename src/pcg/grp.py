@@ -926,8 +926,7 @@ def central_quotient(G: Group, central_indices) -> Group:
         if c not in seen:
             seen.add(c)
             gens.append(c)
-    return Group(ck, elems, gens, name=f"{G.name}/Z" if G.name else "",
-                 parent=G, proj=proj, _index=index)
+    return Group(ck, elems, gens, parent=G, proj=proj, _index=index)
 
 
 def direct_product(A: Group, B: Group, cap: int = DEFAULT_CAP, name: str = "") -> Group:

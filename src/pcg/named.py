@@ -511,7 +511,9 @@ def build(spec) -> Group:
     G = _MEMO.get(key)
     if G is None:
         G = _build_node(node, key)
-        G.name = key
+        # specs may share one object (psl:2:13 and cq(sl:2:13)); the first
+        # name it gets stays
+        G.name = G.name or key
         _MEMO[key] = G
     return G
 

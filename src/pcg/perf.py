@@ -487,21 +487,35 @@ def _project(rows, verts):
     return out
 
 
-def verify_witness(g: CommGraph, w: Witness) -> bool:
-    """Re-check the witness invariants against the graph from scratch."""
-    L = w.length
-    vs = w.vertices
-    if L != len(vs) or L % 2 == 0 or L < 5:
+def pattern_ok(kind: str, length: int) -> bool:
+    """The length rule for pattern kinds: an odd hole is odd and at least
+    five long, an odd antihole odd and at least seven long (a 5-antihole is
+    a 5-hole), and a four-chain has four vertices.  Unknown kinds fail."""
+    if kind == "four-chain":
+        return length == 4
+    if kind not in ("odd-hole", "odd-antihole"):
         return False
-    if w.kind == "odd-antihole" and L < 7:
+    return length % 2 == 1 and length >= (5 if kind == "odd-hole" else 7)
+
+
+def induces(g: CommGraph, vertices, kind: str) -> bool:
+    """True iff distinct vertices of g, in listed order, induce the pattern:
+    adjacent exactly when cyclically consecutive (odd-hole), exactly when
+    not (odd-antihole), or exactly when consecutive (four-chain, a path)."""
+    vs = tuple(vertices)
+    L = len(vs)
+    if not pattern_ok(kind, L) or len(set(vs)) != L or not all(0 <= v < g.n for v in vs):
         return False
-    if len(set(vs)) != L or not all(0 <= v < g.n for v in vs):
-        return False
-    want_edge = w.kind == "odd-hole"
+    cyclic = kind != "four-chain"
+    want_edge = kind != "odd-antihole"
     for i in range(L):
         for j in range(i + 1, L):
-            adjacent = g.adjacent(vs[i], vs[j])
-            consecutive = j - i == 1 or (i == 0 and j == L - 1)
-            if consecutive != (adjacent if want_edge else not adjacent):
+            consecutive = j - i == 1 or (cyclic and i == 0 and j == L - 1)
+            if g.adjacent(vs[i], vs[j]) != (consecutive == want_edge):
                 return False
     return True
+
+
+def verify_witness(g: CommGraph, w: Witness) -> bool:
+    """Re-check the witness invariants against the graph from scratch."""
+    return induces(g, w.vertices, w.kind)

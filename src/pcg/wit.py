@@ -1,11 +1,13 @@
 """Hand-checkable element tuples that witness holes and four-chains.
 
 Every operation here returns an ElementTuple: an ordered run of group
-elements, the spec of the group that owns them, and the pattern they claim
-(odd hole, odd antihole, or induced four-vertex path).  The claim is checked
-from pairwise commutation alone, so a tuple stays verifiable even when its
-group is far too large to enumerate; when the group *is* available, the same
-tuple can be located inside a built commuting graph and re-checked there.
+elements, the spec of the group that owns them, and the pattern kind they
+claim (odd-hole, odd-antihole or four-chain, the kinds perf.induces checks
+and certificate files name).  The claim is checked from pairwise
+commutation alone, so a tuple stays verifiable even when its group is far
+too large to enumerate; when the group *is* available, decode() turns
+element encodings back into a tuple of its elements, and the same tuple can
+be located inside a built commuting graph and re-checked there.
 """
 
 from __future__ import annotations
@@ -17,50 +19,28 @@ from .errors import ConstructionError, GuardError, PcgError
 from .gf import ff_make, field_of_size
 from .grp import Element, Group, MatKind, PairKind, PermKind
 from .named import SymplecticContext, UnitaryContext, build
-from .perf import Witness, verify_witness
-
-_PATTERN_HEADS = ("hole", "antihole", "chain")
-
-
-def _pattern_parts(pattern: str) -> tuple[str, int]:
-    head, sep, num = pattern.partition("-")
-    if not sep or head not in _PATTERN_HEADS:
-        raise PcgError(f"bad pattern {pattern!r}")
-    try:
-        k = int(num)
-    except ValueError:
-        raise PcgError(f"bad pattern length in {pattern!r}") from None
-    if head == "chain":
-        if k != 4:
-            raise PcgError("chain patterns have exactly four vertices")
-    elif k < 5 or k % 2 == 0:
-        raise PcgError("hole patterns are odd and at least five long")
-    elif head == "antihole" and k < 7:
-        raise PcgError("antihole patterns start at length seven")
-    return head, k
+from .perf import induces, pattern_ok
 
 
 @dataclass(frozen=True)
 class ElementTuple:
     """Ordered group elements realizing a commutation pattern.
 
-    For hole-k the elements must commute exactly along a k-cycle in listed
-    order, for antihole-k exactly off it, and for chain-4 exactly along a
-    four-vertex path.  Such a pattern forces every element to fail to
-    commute with some other, so none of them can be central.
+    For an odd-hole the elements must commute exactly along a cycle in
+    listed order, for an odd-antihole exactly off it, and for a four-chain
+    exactly along a four-vertex path (perf.induces).  Such a pattern forces
+    every element to fail to commute with some other, so none of them can
+    be central.
     """
 
     spec: str
-    pattern: str
+    kind: str
     elements: tuple[Element, ...]
 
     def __post_init__(self):
-        _, k = _pattern_parts(self.pattern)
         object.__setattr__(self, "elements", tuple(self.elements))
-        if len(self.elements) != k:
-            raise PcgError(
-                f"pattern {self.pattern} needs {k} elements, got {len(self.elements)}"
-            )
+        if not pattern_ok(self.kind, len(self.elements)):
+            raise PcgError(f"no {self.kind} pattern has {len(self.elements)} elements")
         k0 = self.elements[0].kind
         if any(e.kind != k0 for e in self.elements[1:]):
             raise PcgError("mixed element kinds in one tuple")
@@ -81,29 +61,27 @@ class ElementTuple:
 
     def verify(self) -> bool:
         """Distinct elements whose commutation realizes the claimed pattern."""
-        head, k = _pattern_parts(self.pattern)
-        if len({e.payload for e in self.elements}) != k:
+        if len({e.payload for e in self.elements}) != len(self):
             return False
-        g = self.commute_graph()
-        slots = tuple(range(k))
-        if head == "chain":
-            return _is_induced_path(g, slots)
-        kind = "odd-hole" if head == "hole" else "odd-antihole"
-        return verify_witness(g, Witness(kind, slots, k))
+        return induces(self.commute_graph(), range(len(self)), self.kind)
 
     def renders(self) -> list[str]:
         return [e.render() for e in self.elements]
 
 
-def _is_induced_path(g: CommGraph, vs) -> bool:
-    vs = tuple(vs)
-    if len(set(vs)) != len(vs):
-        return False
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if g.adjacent(vs[i], vs[j]) != (j == i + 1):
-                return False
-    return True
+def decode(G: Group, spec: str, kind: str, encodings) -> ElementTuple:
+    """The tuple of G's elements that the encodings render; PcgError when
+    an encoding is malformed or names no element of G."""
+    elems = []
+    for enc in encodings:
+        try:
+            p = G.kind.parse_render(enc)
+        except ValueError:
+            raise PcgError(f"malformed element encoding {enc!r}") from None
+        if p not in G.index:
+            raise PcgError(f"{enc} is not an element of {spec}")
+        elems.append(Element(G.kind, p))
+    return ElementTuple(spec, kind, elems)
 
 
 def _checked(et: ElementTuple, what: str) -> ElementTuple:
@@ -135,21 +113,16 @@ def locate(et: ElementTuple, graph: CommGraph) -> tuple[int, ...]:
 
 def verify_in_graph(et: ElementTuple, graph: CommGraph) -> bool:
     """Re-check the tuple's pattern against a graph built from its group."""
-    head, k = _pattern_parts(et.pattern)
-    vs = locate(et, graph)
-    if head == "chain":
-        return _is_induced_path(graph, vs)
-    kind = "odd-hole" if head == "hole" else "odd-antihole"
-    return verify_witness(graph, Witness(kind, vs, k))
+    return induces(graph, locate(et, graph), et.kind)
 
 
-def tuple_from_vertices(graph: CommGraph, vertices, pattern: str) -> ElementTuple:
+def tuple_from_vertices(graph: CommGraph, vertices, kind: str) -> ElementTuple:
     """Lift graph vertices back to an ElementTuple (graph must carry a group)."""
     if graph.group is None or graph.vids is None:
         raise PcgError("graph has no group provenance to lift vertices from")
     G = graph.group
     elems = tuple(Element(G.kind, G.elems[graph.vids[v]]) for v in vertices)
-    return _checked(ElementTuple(graph.spec, pattern, elems), f"lift from {graph.spec or 'graph'}")
+    return _checked(ElementTuple(graph.spec, kind, elems), f"lift from {graph.spec or 'graph'}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +138,7 @@ def witness_sym5() -> ElementTuple:
     pk = PermKind(5)
     cycles = ((1, 5), (2, 3), (4, 5), (2, 1), (3, 4))
     elems = tuple(Element(pk, pk.from_cycles(c)) for c in cycles)
-    return _checked(ElementTuple("sym:5", "hole-5", elems), "sym:5 transpositions")
+    return _checked(ElementTuple("sym:5", "odd-hole", elems), "sym:5 transpositions")
 
 
 def witness_alt_3cycles(n: int) -> ElementTuple:
@@ -185,7 +158,7 @@ def witness_alt_3cycles(n: int) -> ElementTuple:
         (1, 6, 7), (2, 3, 4), (5, 6, 7),
     )
     elems = tuple(Element(pk, pk.from_cycles(c)) for c in cycles)
-    return _checked(ElementTuple(f"alt:{n}", "hole-7", elems), f"alt:{n} 3-cycles")
+    return _checked(ElementTuple(f"alt:{n}", "odd-hole", elems), f"alt:{n} 3-cycles")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +199,7 @@ def witness_sl3(q: int, a: int, b: int) -> ElementTuple:
         mk.make((a, 0, 0, 0, b, 0, 0, 0, b)),
     )
     elems = tuple(Element(mk, p) for p in payloads)
-    return _checked(ElementTuple(f"sl:3:{q}", "hole-5", elems), f"sl:3:{q} tuple")
+    return _checked(ElementTuple(f"sl:3:{q}", "odd-hole", elems), f"sl:3:{q} tuple")
 
 
 def witness_su3(q: int) -> ElementTuple:
@@ -269,7 +242,7 @@ def witness_su3(q: int) -> ElementTuple:
         if e.order() != want:
             raise ConstructionError(f"su:3:{q}: element order {e.order()}, wanted {want}")
         payloads.append(e)
-    return _checked(ElementTuple(f"su:3:{q}", "hole-5", tuple(payloads)), f"su:3:{q} tuple")
+    return _checked(ElementTuple(f"su:3:{q}", "odd-hole", tuple(payloads)), f"su:3:{q} tuple")
 
 
 def _mult_order(f, c: int) -> int:
@@ -307,7 +280,7 @@ def witness_sp4(q: int) -> ElementTuple:
     elems = tuple(
         Element(ctx.kind, ctx.kind.make(ctx.transvection(v))) for v in vectors
     )
-    return _checked(ElementTuple(f"sp:4:{q}", "hole-5", elems), f"sp:4:{q} tuple")
+    return _checked(ElementTuple(f"sp:4:{q}", "odd-hole", elems), f"sp:4:{q} tuple")
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +330,7 @@ def witness_psl2(q: int) -> ElementTuple:
             for _ in range(m - 1):
                 idxs.append(conj(idxs[-1], g))
             elems = tuple(Q.element(i) for i in idxs)
-            et = ElementTuple(f"psl:2:{q}", f"hole-{m}", elems)
+            et = ElementTuple(f"psl:2:{q}", "odd-hole", elems)
             if et.verify():
                 return et
     raise ConstructionError(
@@ -393,7 +366,7 @@ def witness_ree3() -> ElementTuple:
     if J.order() != 2 or K.order() != 2 or F.order() != 3:
         raise ConstructionError("aut-sl2-8 tuple: generator orders are off")
     elems = (F.conj(X), J.conj(X), J, F, K, K.conj(Y), F.conj(Y))
-    return _checked(ElementTuple("aut-sl2-8", "hole-7", elems), "aut-sl2-8 tuple")
+    return _checked(ElementTuple("aut-sl2-8", "odd-hole", elems), "aut-sl2-8 tuple")
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +415,14 @@ def witness_product(K: Group, L: Group, M: Group) -> ElementTuple:
         trip(k.payload, l.payload, idm),
     )
     spec = f"prod({_group_label(K)},{_group_label(L)},{_group_label(M)})"
-    return _checked(ElementTuple(spec, "hole-5", elems), spec)
+    return _checked(ElementTuple(spec, "odd-hole", elems), spec)
 
 
 def witness_chain_product(K: Group, chain, L: Group) -> ElementTuple:
     """A 5-hole in K x L built from a four-chain of K and non-abelian L.
 
     chain is four elements of K forming an induced path k1 - k2 - k3 - k4
-    in the commuting graph (an ElementTuple of pattern chain-4 works too).
+    in the commuting graph (an ElementTuple of kind four-chain works too).
     The hole is (k1,1), (k2,l), (k3,l), (k4,1), (1,l') with l, l' the first
     non-commuting pair of L.
     """
@@ -459,7 +432,7 @@ def witness_chain_product(K: Group, chain, L: Group) -> ElementTuple:
         chain_elems = tuple(chain)
     if len(chain_elems) != 4 or any(e.kind != K.kind for e in chain_elems):
         raise ConstructionError("chain must be four elements of the first factor")
-    probe = ElementTuple(_group_label(K), "chain-4", chain_elems)
+    probe = ElementTuple(_group_label(K), "four-chain", chain_elems)
     if not probe.verify():
         raise ConstructionError("chain fails verification: not an induced four-path")
     if L.is_abelian():
@@ -479,7 +452,7 @@ def witness_chain_product(K: Group, chain, L: Group) -> ElementTuple:
         Element(pk, pk.pack(idk, lp.payload)),
     )
     spec = f"prod({_group_label(K)},{_group_label(L)})"
-    return _checked(ElementTuple(spec, "hole-5", elems), spec)
+    return _checked(ElementTuple(spec, "odd-hole", elems), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +494,7 @@ def chain_alt6() -> ElementTuple:
         ((1, 2), (3, 4)),
     )
     elems = tuple(Element(pk, pk.from_cycles(*c)) for c in cycles)
-    return _checked(ElementTuple("alt:6", "chain-4", elems), "alt:6 chain")
+    return _checked(ElementTuple("alt:6", "four-chain", elems), "alt:6 chain")
 
 
 def chain_sl32() -> ElementTuple:
@@ -535,7 +508,7 @@ def chain_sl32() -> ElementTuple:
         (1, 0, 0, 0, 0, 1, 0, 1, 0),
     )
     elems = tuple(Element(mk, mk.make(m)) for m in mats)
-    return _checked(ElementTuple("sl:3:2", "chain-4", elems), "sl:3:2 chain")
+    return _checked(ElementTuple("sl:3:2", "four-chain", elems), "sl:3:2 chain")
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ Each test prints one visible `criterion N (<label>): PASS|FAIL` line, so a
 full run shows the per-criterion outcomes even when capture is on.
 """
 
+import hashlib
+import json
+import os
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -251,7 +255,7 @@ def test_criterion_8_four_chain_dichotomy(suite, capsys):
         if hit is None:
             problems.append(f"{spec}: no 4-chain found")
             continue
-        et = wit.tuple_from_vertices(g, hit, "chain-4")
+        et = wit.tuple_from_vertices(g, hit, "four-chain")
         if not wit.verify_in_graph(et, g):
             problems.append(f"{spec}: 4-chain failed re-verification")
     sl2_qs = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -297,3 +301,34 @@ def test_criterion_9_cold_cache_determinism(suite, capsys, tmp_path):
           f"{dimacs} DIMACS + {cert_files} certificates byte-identical"
           if ok else f"mismatch: {dimacs} dimacs, {cert_files} certs, "
           f"equal={first == second}")
+
+
+def _suite_digests(reports, cache_dir):
+    """SHA-256 of each NotPerfect row's certificate and of the two cache
+    files (reduced, collapsed) of every row, keyed by file name."""
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    out = {}
+    for r in reports:
+        if r.witness is not None:
+            cert = cli.render_certificate(cli._witness_certificate(r))
+            out[f"{r.spec}.cert"] = sha(cert.encode())
+        reduced = build_reduced(build(r.spec))
+        for graph, collapsed in ((reduced, False), (collapse_twins(reduced), True)):
+            path = cli._cache_path(str(cache_dir), r.spec, False, True, collapsed)
+            cli.write_cache(path, graph, r.spec)
+            out[os.path.basename(path)] = sha(Path(path).read_bytes())
+    return out
+
+
+def test_suite_bytes_match_manifest(suite, capsys, tmp_path):
+    # criterion 9 compares two runs of one tree; this pins the bytes across
+    # changes, so the manifest changes only with a deliberate format change
+    manifest = Path(__file__).parent / "data" / "suite_bytes.json"
+    want = json.loads(manifest.read_text())
+    got = _suite_digests(suite.reports, tmp_path)
+    changed = sorted(name for name in want.keys() | got.keys()
+                     if want.get(name) != got.get(name))
+    _crit(capsys, 10, "certificate and cache bytes", not changed,
+          "; ".join(changed) or f"{len(got)} files match {manifest.name}")

@@ -167,6 +167,19 @@ def test_cached_witness_is_rechecked_from_elements():
         analyze("alt:6", cached=cached)
 
 
+def test_malformed_cached_encoding_fails_re_verification():
+    # a digest-valid cache table can still hold an encoding that names no
+    # permutation; that is a re-verification failure, not a ValueError
+    g = collapse_twins(build_reduced(build("sym:5")))
+    cached = classify.CachedGraph(
+        graph=g,
+        reduced_n=len(build("sym:5").reduced_vertices()),
+        encodings=("perm:1,x,3,4,5",) * g.n,
+    )
+    with pytest.raises(PcgError, match="re-verification"):
+        analyze("sym:5", cached=cached)
+
+
 def test_ac_rows_certify_as_clique_unions():
     assert analyze("sl:2:7").certificate == "union-of-cliques"
     assert analyze("fib(3a6,sl:2:9)").certificate == "union-of-cliques"

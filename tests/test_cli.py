@@ -90,6 +90,18 @@ def test_certificate_outside_reduced_graph_is_rejected():
         verify_certificate(c)
 
 
+@pytest.mark.parametrize("spec, bad", [
+    ("sym:5", "perm:1,x,3,4,5"),
+    ("aut-sl2-8", "semi:x"),
+])
+def test_malformed_certificate_encoding_is_a_pcg_error(spec, bad):
+    G = build(spec)
+    encodings = [G.kind.render(G.elems[i]) for i in G.reduced_vertices()[:5]]
+    encodings[2] = bad
+    with pytest.raises(PcgError, match="malformed"):
+        verify_certificate(_cert(spec=spec, encodings=tuple(encodings)))
+
+
 def _analyze_report(spec):
     from pcg.classify import analyze
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from pcg import named
+from pcg.cg import build_reduced
 from pcg.errors import ConstructionError, GuardError, SpecParseError
 from pcg.named import build, parse_spec, render_spec
 
@@ -104,6 +106,20 @@ def test_memoization_and_name():
     assert G.name == "sym:5"
     # canonical rendering keys the memo, so spacing does not split it
     assert build(" prod( sym:3 ,sym:3 )") is build("prod(sym:3,sym:3)")
+
+
+@pytest.mark.parametrize("first, second", [
+    ("psl:2:13", "cq(sl:2:13)"),
+    ("cq(sl:2:13)", "psl:2:13"),
+])
+def test_shared_group_keeps_its_first_name(first, second, monkeypatch):
+    # both specs resolve to one full_central_quotient object; building the
+    # second must not rename it, nor the graphs built from it
+    monkeypatch.setattr(named, "_MEMO", {})
+    G = build(first)
+    assert build(second) is G
+    assert G.name == first
+    assert build_reduced(G).spec == first
 
 
 def test_prod_three_factor_order():

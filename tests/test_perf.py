@@ -13,6 +13,7 @@ from pcg.perf import (
     find_odd_antihole,
     find_odd_hole,
     grid_certificate,
+    induces,
     is_berge,
     is_perfect_bruteforce,
     union_of_cliques_certificate,
@@ -97,6 +98,20 @@ def test_antihole_witness_on_complement():
     w = Witness("odd-antihole", tuple(range(9)), 9)
     assert verify_witness(g, w)
     assert not verify_witness(_cycle(9), w)
+
+
+def test_induces_each_kind():
+    path = _graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert induces(path, (0, 1, 2, 3), "four-chain")
+    assert induces(path, (3, 2, 1, 0), "four-chain")
+    assert not induces(path, (0, 2, 1, 3), "four-chain")
+    assert not induces(_cycle(4), (0, 1, 2, 3), "four-chain")  # closing chord
+    assert not induces(path, (0, 1, 2, 2), "four-chain")  # repeat
+    assert induces(_cycle(7), range(7), "odd-hole")
+    assert not induces(_cycle(7), range(7), "odd-antihole")
+    assert induces(complement(_cycle(7)), range(7), "odd-antihole")
+    assert not induces(_cycle(5), range(5), "odd-antihole")  # too short
+    assert not induces(_cycle(5), (0, 1, 2, 3, 5), "odd-hole")  # no vertex 5
 
 
 def test_is_berge_verdicts():

@@ -40,34 +40,34 @@ def test_element_tuple_validation():
     k = PermKind(5)
     e = Element(k, k.from_cycles((1, 2)))
     with pytest.raises(PcgError):
-        ElementTuple("sym:5", "hole-5", (e, e, e))  # wrong count
+        ElementTuple("sym:5", "odd-hole", (e, e, e))  # too few for any hole
     with pytest.raises(PcgError):
-        ElementTuple("sym:5", "hole-4", (e,) * 4)  # even hole
+        ElementTuple("sym:5", "odd-hole", (e,) * 4)  # even hole
     with pytest.raises(PcgError):
-        ElementTuple("sym:5", "hole-3", (e,) * 3)  # too short
+        ElementTuple("sym:5", "odd-hole", (e,) * 3)  # too short
     with pytest.raises(PcgError):
-        ElementTuple("sym:5", "antihole-5", (e,) * 5)  # antiholes start at 7
+        ElementTuple("sym:5", "odd-antihole", (e,) * 5)  # antiholes start at 7
     with pytest.raises(PcgError):
-        ElementTuple("sym:5", "chain-5", (e,) * 5)  # chains are length 4
+        ElementTuple("sym:5", "four-chain", (e,) * 5)  # chains are length 4
     with pytest.raises(PcgError):
-        ElementTuple("sym:5", "pentagon-5", (e,) * 5)
+        ElementTuple("sym:5", "pentagon", (e,) * 5)
     k6 = PermKind(6)
     mixed = (e, e, e, e, Element(k6, k6.identity()))
     with pytest.raises(PcgError):
-        ElementTuple("sym:5", "hole-5", mixed)
+        ElementTuple("sym:5", "odd-hole", mixed)
 
 
 def test_verify_rejects_repeats():
     k = PermKind(5)
     e = Element(k, k.from_cycles((1, 2)))
-    et = ElementTuple("sym:5", "hole-5", (e,) * 5)
+    et = ElementTuple("sym:5", "odd-hole", (e,) * 5)
     assert not et.verify()
 
 
 def test_witness_sym5():
     et = witness_sym5()
     assert et.spec == "sym:5"
-    assert et.pattern == "hole-5"
+    assert (et.kind, len(et)) == ("odd-hole", 5)
     assert et.verify()
     assert all(e.order() == 2 for e in et.elements)
     G = build("sym:5")
@@ -84,7 +84,7 @@ def test_witness_sym5_commute_graph_is_pentagon():
 
 def test_witness_alt_3cycles():
     et = witness_alt_3cycles(7)
-    assert et.pattern == "hole-7"
+    assert (et.kind, len(et)) == ("odd-hole", 7)
     assert et.verify()
     assert all(e.order() == 3 for e in et.elements)
     assert verify_in_graph(et, build_reduced(build("alt:7")))
@@ -147,7 +147,7 @@ def test_witness_sp4():
 def test_witness_psl2():
     et = witness_psl2(13)
     assert et.spec == "psl:2:13"
-    assert et.pattern == "hole-7"
+    assert (et.kind, len(et)) == ("odd-hole", 7)
     assert et.verify()
     assert verify_in_graph(et, build_reduced(build("psl:2:13")))
 
@@ -164,7 +164,7 @@ def test_witness_psl2_rejects_wrong_q():
 def test_witness_ree3():
     et = witness_ree3()
     assert et.spec == "aut-sl2-8"
-    assert et.pattern == "hole-7"
+    assert (et.kind, len(et)) == ("odd-hole", 7)
     assert et.verify()
     assert verify_in_graph(et, build_reduced(build("aut-sl2-8")))
 
@@ -187,7 +187,7 @@ def test_witness_product_needs_non_abelian_factors():
 
 def test_chain_alt6():
     et = chain_alt6()
-    assert et.pattern == "chain-4"
+    assert (et.kind, len(et)) == ("four-chain", 4)
     assert et.verify()
     assert verify_in_graph(et, build_reduced(build("alt:6")))
 
@@ -202,7 +202,7 @@ def test_chain_sl32():
 def test_witness_chain_product():
     et = witness_chain_product(build("alt:6"), chain_alt6(), build("sym:3"))
     assert et.spec == "prod(alt:6,sym:3)"
-    assert et.pattern == "hole-5"
+    assert (et.kind, len(et)) == ("odd-hole", 5)
     assert et.verify()
 
 
@@ -234,7 +234,7 @@ def test_find_4chain_reduced_alt6():
     g = build_reduced(build("alt:6"))
     hit = find_4chain(g)
     assert hit == (0, 28, 6, 7)  # deterministic for the fixed build order
-    et = tuple_from_vertices(g, hit, "chain-4")
+    et = tuple_from_vertices(g, hit, "four-chain")
     assert et.verify()
     assert verify_in_graph(et, g)
 
@@ -256,7 +256,7 @@ def test_locate_errors():
     k = PermKind(4)
     t = Element(k, k.from_cycles((1, 2)))
     d = Element(k, k.from_cycles((1, 2), (3, 4)))
-    et4 = ElementTuple("sym:4", "chain-4", (t, d, t * d, d * t * d))
+    et4 = ElementTuple("sym:4", "four-chain", (t, d, t * d, d * t * d))
     with pytest.raises(PcgError, match="not a vertex"):
         locate(et4, build_reduced(build("sym:4")))
 
@@ -264,9 +264,9 @@ def test_locate_errors():
 def test_tuple_from_vertices_checks_pattern():
     g = build_reduced(build("alt:6"))
     with pytest.raises(ConstructionError):
-        tuple_from_vertices(g, (0, 1, 2, 3, 4), "hole-5")
+        tuple_from_vertices(g, (0, 1, 2, 3, 4), "odd-hole")
     with pytest.raises(PcgError):
-        tuple_from_vertices(_graph(5, []), (0, 1, 2, 3), "chain-4")
+        tuple_from_vertices(_graph(5, []), (0, 1, 2, 3), "four-chain")
 
 
 def test_label_model_spot_check():
