@@ -294,15 +294,18 @@ def read_dimacs(text: str) -> CommGraph:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "edge":
+            if (len(parts) != 4 or parts[1] != "edge"
+                    or not (parts[2].isdecimal() and parts[3].isdecimal())):
                 raise PcgError(f"bad DIMACS header on line {ln}: {line!r}")
             n, m = int(parts[2]), int(parts[3])
             rows = [0] * n
         elif line.startswith("e"):
             if rows is None:
                 raise PcgError("DIMACS edge before header")
-            _, us, vs = line.split()
-            u, v = int(us) - 1, int(vs) - 1
+            parts = line.split()
+            if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
+                raise PcgError(f"bad DIMACS edge on line {ln}: {line!r}")
+            u, v = int(parts[1]) - 1, int(parts[2]) - 1
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise PcgError(f"bad DIMACS edge on line {ln}: {line!r}")
             rows[u] |= 1 << v

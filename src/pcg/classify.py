@@ -148,12 +148,12 @@ def grid_labels_from_encodings(encodings):
         parts = body.split(":")
         if len(parts) != 4 or parts[0] != "mat" or parts[2] != "3":
             return None
-        if f is None:
-            try:
+        try:
+            if f is None:
                 f = field_of_size(int(parts[1]))
-            except (ValueError, PcgError):
-                return None
-        m = tuple(int(t) for t in parts[3].split(","))
+            m = tuple(int(t) for t in parts[3].split(","))
+        except (ValueError, PcgError):
+            return None
         if len(m) != 9 or any(not 0 <= x < f.q for x in m):
             return None
         label = _transvection_label(f, m)

@@ -11,8 +11,9 @@ minimum.
 Groups are built by breadth-first closure in a fixed deterministic order
 (generators sorted by encoding, FIFO queue, fixed chunk size), so regenerating
 a group from the same data yields an identical element table.  Bulk operations
-(closure, conjugation maps, commuting masks) go through numpy where the kind
-supports it; small or exotic kinds fall back to plain loops.
+(closure, conjugation maps, commuting masks) go through one numpy kernel that
+every kind supports: elements become rows of 16-bit codes, rows multiply as
+arrays, and products turn back into encodings.
 """
 
 from __future__ import annotations
@@ -51,9 +52,13 @@ def _forced_abelian(n: int) -> bool:
 
 
 class Kind:
-    """Interprets canonical byte encodings of one element variant."""
+    """Interprets canonical byte encodings of one element variant.
 
-    bulk = False
+    Bulk work uses rows: to_array turns payloads into a 2-D uint16 array, one
+    row per element, holding the big-endian 16-bit codes that follow the tag
+    byte; from_array is its inverse and puts back the kind's tag; mul_arrays
+    multiplies a row or a block of rows by a row or a block of rows.
+    """
 
     def identity(self) -> bytes:
         raise NotImplementedError
@@ -70,15 +75,23 @@ class Kind:
     def parse_render(self, s: str) -> bytes:
         raise NotImplementedError
 
-    # bulk operations: numpy through to_array/mul_arrays/from_array when the
-    # kind is bulk, per-element loops otherwise ----------------------------
+    # bulk operations ------------------------------------------------------
+
+    def to_array(self, payloads):
+        m = len(payloads)
+        raw = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(m, -1)
+        return np.ascontiguousarray(raw[:, 1:]).view(">u2").astype(np.uint16)
+
+    def from_array(self, arr):
+        blob = arr.astype(">u2").tobytes()
+        step = 2 * arr.shape[1]
+        tag = self.tag
+        return [tag + blob[i:i + step] for i in range(0, len(blob), step)]
+
+    def mul_arrays(self, A, B):
+        raise NotImplementedError
 
     def mul_all(self, payloads, v, side="right", arr=None):
-        if not self.bulk:
-            mul = self.mul
-            if side == "right":
-                return [mul(x, v) for x in payloads]
-            return [mul(v, x) for x in payloads]
         if arr is None:
             arr = self.to_array(payloads)
         V = self.to_array([v])[0]
@@ -86,20 +99,16 @@ class Kind:
         return self.from_array(out)
 
     def commute_mask(self, payloads, v, arr=None):
-        if not self.bulk:
-            mul = self.mul
-            return np.array([mul(x, v) == mul(v, x) for x in payloads], dtype=bool)
         if arr is None:
             arr = self.to_array(payloads)
         V = self.to_array([v])[0]
-        eq = self.mul_arrays(arr, V) == self.mul_arrays(V, arr)
-        return eq.all(axis=tuple(range(1, eq.ndim)))
+        return (self.mul_arrays(arr, V) == self.mul_arrays(V, arr)).all(axis=1)
 
 
 class PermKind(Kind):
     """Permutations of {0..deg-1}; (a*b)(i) = a(b(i))."""
 
-    bulk = True
+    tag = b"P"
 
     def __init__(self, deg: int):
         if not 1 <= deg <= 0xFFFF:
@@ -148,18 +157,6 @@ class PermKind(Kind):
             raise PcgError(f"bad perm encoding: {s!r}")
         return self.make(tuple(int(t) - 1 for t in s[5:].split(",")))
 
-    def to_array(self, payloads):
-        m = len(payloads)
-        raw = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(m, -1)
-        body = np.ascontiguousarray(raw[:, 1:])
-        return body.view(">u2").astype(np.int64).reshape(m, self.deg)
-
-    def from_array(self, arr):
-        m = len(arr)
-        blob = arr.astype(">u2").tobytes()
-        step = 2 * self.deg
-        return [b"P" + blob[i * step:(i + 1) * step] for i in range(m)]
-
     def mul_arrays(self, A, B):
         if A.ndim == 1 and B.ndim == 1:
             return A[B]
@@ -182,7 +179,7 @@ class PermKind(Kind):
 class MatKind(Kind):
     """n x n matrices over a Field, row-major integer codes."""
 
-    bulk = True
+    tag = b"M"
 
     def __init__(self, field: Field, n: int):
         self.field = field
@@ -224,32 +221,23 @@ class MatKind(Kind):
             raise PcgError(f"mat encoding {s!r} does not match GF({self.field.q})^{self.n}")
         return self.make(tuple(int(t) for t in parts[3].split(",")))
 
-    def to_array(self, payloads):
-        m = len(payloads)
-        raw = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(m, -1)
-        body = np.ascontiguousarray(raw[:, 1:])
-        return body.view(">u2").astype(np.uint16).reshape(m, self.n, self.n)
-
-    def from_array(self, arr):
-        arr = arr.reshape(-1, self.n, self.n)
-        m = len(arr)
-        blob = arr.astype(">u2").tobytes()
-        step = 2 * self.n * self.n
-        return [b"M" + blob[i * step:(i + 1) * step] for i in range(m)]
-
     def mul_arrays(self, A, B):
         f = self.field
+        n = self.n
+        A = A.reshape(A.shape[:-1] + (n, n))
+        B = B.reshape(B.shape[:-1] + (n, n))
         if f.k == 1:
             C = (A.astype(np.int64) @ B.astype(np.int64)) % f.p
-            return C.astype(np.uint16)
-        MT, AT = f.np_tables()
-        T = MT[A[..., :, :, None], B[..., None, :, :]]
-        if f.p == 2:
-            return np.bitwise_xor.reduce(T, axis=-2)
-        out = T[..., 0, :]
-        for k in range(1, self.n):
-            out = AT[out, T[..., k, :]]
-        return out
+        else:
+            MT, AT = f.np_tables()
+            T = MT[A[..., :, :, None], B[..., None, :, :]]
+            if f.p == 2:
+                C = np.bitwise_xor.reduce(T, axis=-2)
+            else:
+                C = T[..., 0, :]
+                for k in range(1, n):
+                    C = AT[C, T[..., k, :]]
+        return C.reshape(C.shape[:-2] + (n * n,)).astype(np.uint16, copy=False)
 
     def __eq__(self, other):
         return (
@@ -267,12 +255,18 @@ class MatKind(Kind):
 
 class SemiKind(Kind):
     """Semilinear elements (matrix, Frobenius power j); fixed composition
-    (A, i) * (B, j) = (A phi^i(B), i + j mod k)."""
+    (A, i) * (B, j) = (A phi^i(B), i + j mod k).  A row is (i, matrix codes)."""
+
+    tag = b"S"
 
     def __init__(self, base: MatKind):
         self.base = base
-        self.period = base.field.k
+        f = base.field
+        self.period = f.k
         self._s1 = _st(1)
+        # _frob[i, c] = c^(p^i), phi^i on a field code
+        self._frob = np.array([[f.pow(c, f.p**i) for c in range(f.q)]
+                               for i in range(self.period)], dtype=np.uint16)
 
     def make(self, mat_payload: bytes, j: int) -> bytes:
         return b"S" + self._s1.pack(j % self.period) + mat_payload[1:]
@@ -313,6 +307,11 @@ class SemiKind(Kind):
         jtxt, mat = rest.split(":", 1)
         return self.make(self.base.parse_render(mat), int(jtxt))
 
+    def mul_arrays(self, A, B):
+        i = A[..., :1]
+        C = self.base.mul_arrays(A[..., 1:], self._frob[i, B[..., 1:]])
+        return np.concatenate([(i + B[..., :1]) % self.period, C], axis=-1)
+
     def __eq__(self, other):
         return isinstance(other, SemiKind) and other.base == self.base
 
@@ -330,6 +329,8 @@ class PairKind(Kind):
         self.left = left
         self.right = right
         self._s4 = struct.Struct(">I")
+        # a row is the left row followed by the right row
+        self._w = left.to_array([left.identity()]).shape[1]
 
     def pack(self, a: bytes, b: bytes) -> bytes:
         return b"2" + self._s4.pack(len(a)) + a + b
@@ -371,27 +372,19 @@ class PairKind(Kind):
                 )
         raise PcgError(f"bad pair encoding: {s!r}")
 
-    def mul_all(self, payloads, v, side="right", arr=None):
-        vl, vr = self.split(v)
-        lefts = []
-        rights = []
-        for p in payloads:
-            a, b = self.split(p)
-            lefts.append(a)
-            rights.append(b)
-        ol = self.left.mul_all(lefts, vl, side)
-        orr = self.right.mul_all(rights, vr, side)
-        return [self.pack(a, b) for a, b in zip(ol, orr)]
+    def to_array(self, payloads):
+        lefts, rights = zip(*map(self.split, payloads))
+        return np.hstack([self.left.to_array(lefts), self.right.to_array(rights)])
 
-    def commute_mask(self, payloads, v, arr=None):
-        vl, vr = self.split(v)
-        lefts = []
-        rights = []
-        for p in payloads:
-            a, b = self.split(p)
-            lefts.append(a)
-            rights.append(b)
-        return self.left.commute_mask(lefts, vl) & self.right.commute_mask(rights, vr)
+    def from_array(self, arr):
+        w = self._w
+        return list(map(self.pack, self.left.from_array(arr[:, :w]),
+                        self.right.from_array(arr[:, w:])))
+
+    def mul_arrays(self, A, B):
+        w = self._w
+        return np.concatenate([self.left.mul_arrays(A[..., :w], B[..., :w]),
+                               self.right.mul_arrays(A[..., w:], B[..., w:])], axis=-1)
 
     def __eq__(self, other):
         return (
@@ -408,14 +401,16 @@ class PairKind(Kind):
 
 
 class CosetKind(Kind):
-    """Cosets of a central subgroup, canonicalized to the minimum encoding."""
+    """Cosets of a central subgroup, canonicalized to the minimum encoding.
+    A row is a row of the base kind."""
+
+    tag = b"C"
 
     def __init__(self, base: Kind, zpayloads):
         self.base = base
         self.z = tuple(sorted(set(zpayloads)))
         if base.identity() not in self.z:
             raise ConstructionError("central subgroup must contain the identity")
-        self.bulk = base.bulk
 
     def canonical(self, raw: bytes) -> bytes:
         mul = self.base.mul
@@ -444,7 +439,7 @@ class CosetKind(Kind):
             raise PcgError(f"bad coset encoding: {s!r}")
         return self.make(self.base.parse_render(s[6:]))
 
-    # bulk (delegated to the base kind when it has one) -------------------
+    # bulk (delegated to the base kind) -----------------------------------
 
     def to_array(self, payloads):
         return self.base.to_array([p[1:] for p in payloads])
@@ -459,15 +454,13 @@ class CosetKind(Kind):
                 best = cand
             else:
                 best = [a if a < b else b for a, b in zip(best, cand)]
-        return [b"C" + b for b in best]
+        return [self.tag + b for b in best]
 
     def mul_arrays(self, A, B):
         return self.base.mul_arrays(A, B)
 
     def commute_mask(self, payloads, v, arr=None):
         # cosets commute when xv = z vx for some z in the central subgroup
-        if not self.bulk:
-            return Kind.commute_mask(self, payloads, v)
         base = self.base
         if arr is None:
             arr = self.to_array(payloads)
@@ -477,8 +470,7 @@ class CosetKind(Kind):
         mask = None
         for z in self.z:
             zarr = base.to_array([z])[0]
-            eq = L == base.mul_arrays(zarr, R)
-            eq = eq.all(axis=tuple(range(1, eq.ndim)))
+            eq = (L == base.mul_arrays(zarr, R)).all(axis=1)
             mask = eq if mask is None else (mask | eq)
         return mask
 
@@ -564,7 +556,7 @@ def _mulclose(kind: Kind, gens, cap: int):
     while pos < len(elems):
         chunk = elems[pos:pos + _CHUNK]
         pos += len(chunk)
-        arr = kind.to_array(chunk) if kind.bulk else None
+        arr = kind.to_array(chunk)
         for g in gens:
             for p in kind.mul_all(chunk, g, "right", arr=arr):
                 if p not in index:
@@ -673,21 +665,17 @@ class Group:
         return self.index[self.kind.inv(self.elems[i])]
 
     def arr(self):
-        if self._arr is None and self.kind.bulk:
+        if self._arr is None:
             self._arr = self.kind.to_array(self.elems)
         return self._arr
 
     # -- masks ------------------------------------------------------------
 
     def block(self, indices):
-        """(payloads, array block) of the elements at the given indices; the
-        block is None when the kind has no bulk arithmetic."""
+        """(payloads, array rows) of the elements at the given indices."""
         indices = list(indices)
         payloads = [self.elems[j] for j in indices]
-        arr = None
-        if self.kind.bulk:
-            arr = self.arr()[np.asarray(indices, dtype=np.int64)]
-        return payloads, arr
+        return payloads, self.arr()[np.asarray(indices, dtype=np.int64)]
 
     def commute_mask(self, i: int, subset=None):
         """Boolean mask of elements commuting with element i."""
@@ -903,10 +891,7 @@ def central_quotient(G: Group, central_indices) -> Group:
             if k.mul(a, b) not in zset:
                 raise ConstructionError("central subset is not a subgroup")
     ck = CosetKind(k, zp)
-    if ck.bulk and len(G) > 64:
-        canon = ck.from_array(G.arr())
-    else:
-        canon = [ck.make(p) for p in G.elems]
+    canon = ck.from_array(G.arr())
     elems = []
     index = {}
     proj = []

@@ -91,9 +91,9 @@ def test_build_reduced():
 
 @pytest.mark.parametrize("spec, kind, variants", [
     ("sym:5", "PermKind", ("full", "center", "reduced")),
-    ("sl:2:4", "MatKind", ("full",)),            # bulk matrices over GF(4)
+    ("sl:2:4", "MatKind", ("full",)),            # matrices over GF(4)
     ("psl:2:5", "CosetKind", ("full",)),         # central quotient
-    ("prod(sym:3,sym:3)", "PairKind", ("full", "reduced")),  # no bulk
+    ("prod(sym:3,sym:3)", "PairKind", ("full", "reduced")),
     ("aut-sl2-8", "SemiKind", ("reduced",)),
 ])
 def test_transported_rows_match_commute_masks(spec, kind, variants):
@@ -206,6 +206,11 @@ def test_dimacs_rejects_malformed():
         read_dimacs("p edge 3 1\ne 1 9\n")  # vertex out of range
     with pytest.raises(PcgError):
         read_dimacs("p edge 3\n")
+    # non-numeric fields and short edge lines too: a ValueError would escape
+    # the cache reader's corrupt-file check
+    for text in ("p edge x 0\n", "p edge 3 1\ne 1 y\n", "p edge 3 1\ne 1\n"):
+        with pytest.raises(PcgError, match="bad DIMACS"):
+            read_dimacs(text)
 
 
 def test_dimacs_counts_header():

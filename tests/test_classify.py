@@ -131,6 +131,13 @@ def test_verdict_uses_grid_labels_for_sl32(spec, grid):
     assert classify.grid_labels_from_encodings(encodings) == labels
 
 
+def test_grid_labels_reject_non_integer_codes():
+    # a cache table is untrusted text; a bad code means no labels, not a crash
+    good = "mat:2:3:1,1,0,0,1,0,0,0,1"
+    assert classify.grid_labels_from_encodings([good]) is not None
+    assert classify.grid_labels_from_encodings([good, "mat:2:3:1,x,0,0,1,0,0,0,1"]) is None
+
+
 def test_grid_labels_need_group_provenance():
     g = collapse_twins(build_reduced(build("sl:3:2")))
     assert grid_labels(CommGraph(g.n, g.rows)) is None

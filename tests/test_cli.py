@@ -1,6 +1,8 @@
 """Command line entry points and the certificate/cache file formats."""
 
+import hashlib
 import os
+import re
 
 import pytest
 
@@ -207,6 +209,50 @@ def test_main_analyze_cache_rejects_tampered_graph(tmp_path, capsys):
     assert "match yes" in out
 
 
+def _rewrite_cache_body(path, body):
+    """Give a cache file a new body under its header and a matching digest."""
+    with open(path, encoding="utf-8") as fh:
+        head = fh.read().splitlines()[:2]
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(head) + f"\nc sha256 {digest}\n{body}")
+
+
+def test_main_analyze_cache_rebuilds_malformed_body(tmp_path, capsys):
+    # a body that passes its digest but is not DIMACS is a corrupt file
+    d = str(tmp_path / "cache")
+    main(["analyze", "sl:3:2", "--cache-dir", d])
+    capsys.readouterr()
+    path = cli._cache_path(d, "sl:3:2", False, True, True)
+    with open(path, "rb") as fh:
+        good = fh.read()
+    _rewrite_cache_body(path, "p edge x 0\n")
+    assert cli.read_cache(path) is None
+    rc = main(["analyze", "sl:3:2", "--cache-dir", d])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "match yes" in out
+    with open(path, "rb") as fh:
+        assert fh.read() == good
+
+
+def test_main_analyze_cache_with_non_integer_matrix_code(tmp_path, capsys):
+    # an encoding table that grid labels cannot read leaves the search to decide
+    d = str(tmp_path / "cache")
+    main(["analyze", "sl:3:2", "--cache-dir", d])
+    capsys.readouterr()
+    path = cli._cache_path(d, "sl:3:2", False, True, True)
+    with open(path, encoding="utf-8") as fh:
+        body = fh.read().split("\n", 3)[3]
+    bad = re.sub(r"^(c v 0 mat:2:3:)\d+", r"\1x", body, flags=re.M)
+    assert bad != body
+    _rewrite_cache_body(path, bad)
+    rc = main(["analyze", "sl:3:2", "--cache-dir", d])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "match yes" in out
+
+
 def test_read_cache_checks_header(tmp_path):
     d = str(tmp_path)
     graph = build_reduced(build("sym:5"))
@@ -360,6 +406,10 @@ def test_main_bruteforce(tmp_path, capsys):
     c4.write_text("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
     assert main(["bruteforce", str(c4)]) == 0
     assert capsys.readouterr().out.strip() == "perfect"
+    bad = tmp_path / "bad.dimacs"
+    bad.write_text("p edge 3 1\ne 1\n")
+    assert main(["bruteforce", str(bad)]) == 1
+    assert "bad DIMACS edge on line 2" in capsys.readouterr().err
 
 
 def test_main_bruteforce_guard(tmp_path, capsys):

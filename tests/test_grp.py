@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from pcg.errors import CapError, ConstructionError, PcgError
@@ -193,16 +194,23 @@ def test_element_order_matches_elements():
         assert G.element_order(i) == G.element(i).order()
 
 
-@pytest.mark.parametrize("spec, kind", [
+_KIND_SPECS = [
     ("sym:4", "PermKind"),
-    ("sl:2:4", "MatKind"),               # bulk matrices over GF(4)
-    ("psl:2:5", "CosetKind"),            # central quotient
-    ("prod(sym:3,sym:3)", "PairKind"),   # no bulk arithmetic
-])
+    ("sl:2:4", "MatKind"),                    # matrices over GF(4)
+    ("psl:2:5", "CosetKind"),                 # central quotient
+    ("prod(sym:3,sym:3)", "PairKind"),
+    ("aut-sl2-8", "SemiKind"),                # Frobenius twist in the rows
+    ("prod(sym:3,sl:2:3)", "PairKind"),       # sides of different widths
+    ("cq(prod(sl:2:3,sl:2:3))", "CosetKind"),  # cosets over pairs
+]
+
+
+@pytest.mark.parametrize("spec, kind", _KIND_SPECS)
 def test_commute_mask_against_bruteforce(spec, kind):
     G = build(spec)
     assert type(G.kind).__name__ == kind
-    for i in range(len(G)):
+    # every row of small groups, a sample of rows of larger ones
+    for i in range(0, len(G), max(1, len(G) // 50)):
         mask = G.commute_mask(i)
         ei = G.element(i)
         for j in range(len(G)):
@@ -212,6 +220,24 @@ def test_commute_mask_against_bruteforce(spec, kind):
     for v in G.elems[1:4]:
         assert k.mul_all(G.elems, v, "right") == [k.mul(x, v) for x in G.elems]
         assert k.mul_all(G.elems, v, "left") == [k.mul(v, x) for x in G.elems]
+
+
+@pytest.mark.parametrize("spec, kind", _KIND_SPECS)
+def test_array_rows_roundtrip(spec, kind):
+    G = build(spec)
+    rows = G.kind.to_array(G.elems)
+    assert rows.dtype == np.uint16 and rows.shape[0] == len(G)
+    assert G.kind.from_array(rows) == G.elems
+
+
+def test_central_quotient_of_small_group_matches_make():
+    Q = build("cq(sl:2:3)")
+    G = Q.parent
+    ck = Q.kind
+    canon = [ck.make(p) for p in G.elems]
+    assert len(Q) == 12
+    assert Q.elems == list(dict.fromkeys(canon))
+    assert [Q.elems[j] for j in Q.proj] == canon
 
 
 def test_reduced_vertices():
