@@ -210,10 +210,13 @@ def build_reduced(G: Group) -> CommGraph:
     )
 
 
-def _twin_pass(n, rows, closed: bool):
+def _twin_pass(rows, alive: int, closed: bool):
+    """Twin classes among the vertices of the bitset alive, by open or
+    closed neighbourhood within it; each class is sorted and the classes
+    are ordered by their smallest member."""
     groups: dict[int, list[int]] = {}
-    for u in range(n):
-        key = rows[u] | (1 << u) if closed else rows[u]
+    for u in _bits(alive):
+        key = rows[u] & alive | (1 << u if closed else 0)
         groups.setdefault(key, []).append(u)
     classes = sorted(groups.values())  # ascending by smallest member
     reps = [c[0] for c in classes]
@@ -223,10 +226,10 @@ def _twin_pass(n, rows, closed: bool):
 def collapse_twins(g: CommGraph) -> CommGraph:
     """One representative per twin class: open-neighborhood classes first,
     then closed-neighborhood classes; representative = smallest vertex id."""
-    reps1, classes1 = _twin_pass(g.n, g.rows, closed=False)
+    reps1, classes1 = _twin_pass(g.rows, (1 << g.n) - 1, closed=False)
     rows1 = _subrows(g.rows, g.n, reps1)
     n1 = len(reps1)
-    reps2, classes2 = _twin_pass(n1, rows1, closed=True)
+    reps2, classes2 = _twin_pass(rows1, (1 << n1) - 1, closed=True)
     rows2 = _subrows(rows1, n1, reps2)
     classes = [
         sorted(v for c1 in cls2 for v in classes1[c1])

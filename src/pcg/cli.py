@@ -21,7 +21,7 @@ import tempfile
 from dataclasses import dataclass
 
 from . import cg, classify, perf, wit
-from .errors import CertificateError, PcgError
+from .errors import CertificateError, PcgError, SpecParseError
 from .named import build, parse_spec, render_spec
 
 CERT_VERSION = 1
@@ -281,20 +281,33 @@ _WITNESS_USAGE = (
 )
 
 
+class ArgumentError(PcgError):
+    """Command-line arguments that do not parse."""
+
+
+def _ints(params: list[str], k: int) -> list[int]:
+    """The first k witness parameters as integers."""
+    if len(params) < k:
+        raise ArgumentError(f"expected {k} integer parameters, got {len(params)}")
+    try:
+        return [int(p) for p in params[:k]]
+    except ValueError as e:
+        raise ArgumentError(str(e)) from None
+
+
 def _make_witness(name: str, params: list[str]) -> wit.ElementTuple | None:
     if name == "sym5":
         return wit.witness_sym5()
     if name == "alt":
-        return wit.witness_alt_3cycles(int(params[0]))
+        return wit.witness_alt_3cycles(*_ints(params, 1))
     if name == "sl3":
-        q, a, b = (int(p) for p in params[:3])
-        return wit.witness_sl3(q, a, b)
+        return wit.witness_sl3(*_ints(params, 3))
     if name == "su3":
-        return wit.witness_su3(int(params[0]))
+        return wit.witness_su3(*_ints(params, 1))
     if name == "sp4":
-        return wit.witness_sp4(int(params[0]))
+        return wit.witness_sp4(*_ints(params, 1))
     if name == "psl2":
-        return wit.witness_psl2(int(params[0]))
+        return wit.witness_psl2(*_ints(params, 1))
     if name == "ree3":
         return wit.witness_ree3()
     if name == "product":
@@ -432,14 +445,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Argument and spec parse errors report as bad
+    arguments, other PcgError and OSError as errors, each with exit code 1;
+    any other exception is a fault of the program and propagates."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ArgumentError, SpecParseError) as e:
+        print(f"error: bad arguments: {e}", file=sys.stderr)
+        return 1
     except PcgError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, IndexError) as e:
-        print(f"error: bad arguments: {e}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

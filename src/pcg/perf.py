@@ -7,13 +7,22 @@ at least five in the graph or its complement), so every verdict here is
 either a structural certificate, an exhausted search, or an explicit witness
 that re-verifies from scratch.  Budgets make "ran out of steam" (Unknown) a
 first-class outcome distinct from "no hole exists".
+
+is_berge decides in this order: certificates on the graph as given (union
+of cliques, grid from supplied labels, bipartite); prune, which deletes
+universal and simplicial vertices and collapses twins until nothing
+changes; recognise the pruned graph as the line graph of a bipartite graph,
+whose labels grid_certificate confirms; and only then search the pruned
+graph.  The grid tag therefore means that the graph, or what pruning left
+of it, is a line graph of a bipartite graph, with or without labels from
+the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .cg import CommGraph, complement, _bits
+from .cg import CommGraph, _bits, _twin_pass, complement, induced
 from .errors import CertificateError, GuardError, PcgError
 
 DEFAULT_BUDGET = 10**8
@@ -248,7 +257,9 @@ def grid_certificate(g: CommGraph, row_labels, col_labels) -> bool:
     return True
 
 
-def _bipartite(g: CommGraph) -> bool:
+def _two_colouring(g: CommGraph) -> list[int] | None:
+    """A proper 2-colouring of g as a list of 0/1, or None if g is not
+    bipartite."""
     color = [-1] * g.n
     for s in range(g.n):
         if color[s] != -1:
@@ -262,27 +273,89 @@ def _bipartite(g: CommGraph) -> bool:
                     color[v] = color[u] ^ 1
                     stack.append(v)
                 elif color[v] == color[u]:
-                    return False
+                    return None
+    return color
+
+
+def _is_clique(rows, mask: int) -> bool:
+    """True iff the vertices of mask are pairwise adjacent."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if (rows[low.bit_length() - 1] | low) & mask != mask:
+            return False
     return True
 
 
-def is_berge(g: CommGraph, budget: int = DEFAULT_BUDGET,
-             row_labels=None, col_labels=None, max_len: int | None = None) -> Verdict:
-    """Structural certificates first, then exhaustive hole+antihole search.
+def prune(g: CommGraph) -> list[int]:
+    """The vertices, ascending, that remain after repeatedly deleting
+    universal and simplicial vertices and keeping the smallest vertex of
+    each open and each closed twin class, until nothing changes.
 
-    Certificate tags: union-of-cliques, grid (only when labels are supplied),
-    bipartite, exhausted.  NotBerge always carries a verified witness;
-    Unknown reports the largest length range fully covered.  A max_len cap
-    bounds both searches; a capped search that finds nothing is Unknown, not
-    Berge, since longer holes were never ruled out.
+    None of these steps changes the Berge verdict.  A vertex of a hole of
+    length >= 4 or an antihole of length >= 5 has two non-adjacent
+    neighbours and a non-neighbour on it, so it is neither simplicial (its
+    neighbourhood a clique) nor universal; twins are cg.TWIN_NOTE.  So the
+    graph induced on the result is Berge exactly when g is, and each of its
+    odd holes and antiholes is one of g's.
     """
-    if union_of_cliques_certificate(g):
-        return Verdict("Berge", certificate="union-of-cliques")
-    if row_labels is not None and col_labels is not None:
-        if grid_certificate(g, row_labels, col_labels):
-            return Verdict("Berge", certificate="grid")
-    if _bipartite(g):
-        return Verdict("Berge", certificate="bipartite")
+    rows = g.rows
+    alive = (1 << g.n) - 1
+    while True:
+        before = alive
+        for u in _bits(alive):
+            nb = rows[u] & alive
+            if nb | 1 << u == alive or _is_clique(rows, nb):
+                alive ^= 1 << u
+        for closed in (False, True):
+            reps, _ = _twin_pass(rows, alive, closed)
+            alive = sum(1 << u for u in reps)
+        if alive == before:
+            return _bits(alive)
+
+
+def line_graph_labels(g: CommGraph):
+    """(row, col) labels that show g as the line graph of a bipartite graph
+    H, or None.
+
+    In such a graph with no simplicial vertex, the neighbourhood of a
+    vertex v (an edge xy of H) is two cliques with no edge between them:
+    the other edges at x, which are the first neighbour u of v with the
+    common neighbours of u and v, and the other edges at y, the rest.  Each
+    clique together with v is one vertex of H; a 2-colouring of H names
+    one end of every edge the row and the other the column.  The labels
+    are only a candidate: nothing here checks adjacency, so the caller
+    must confirm them with grid_certificate.
+    """
+    rows = g.rows
+    ids: dict[int, int] = {}
+    ends = []
+    for v in range(g.n):
+        nb = rows[v]
+        if not nb:
+            return None
+        low = nb & -nb
+        first = (rows[low.bit_length() - 1] & nb) | low
+        if first == nb:
+            return None
+        ends.append(tuple(ids.setdefault(c | 1 << v, len(ids))
+                          for c in (first, nb ^ first)))
+    root = [0] * len(ids)
+    for a, b in ends:
+        root[a] |= 1 << b
+        root[b] |= 1 << a
+    color = _two_colouring(CommGraph(len(ids), root))
+    if color is None:
+        return None
+    cells = [(a, b) if color[a] == 0 else (b, a) for a, b in ends]
+    if len(set(cells)) != g.n:
+        return None
+    return [r for r, _ in cells], [c for _, c in cells]
+
+
+def _search(g: CommGraph, budget: int, max_len: int | None) -> Verdict:
+    """Exhaustive hole search, then antihole search, within the budget."""
     hole = find_odd_hole(g, 5, max_len, budget)
     if hole.witness is not None:
         return Verdict("NotBerge", witness=hole.witness,
@@ -302,6 +375,46 @@ def is_berge(g: CommGraph, budget: int = DEFAULT_BUDGET,
         return Verdict("Unknown", max_len_searched=max_len, steps=steps)
     return Verdict("Berge", certificate="exhausted",
                    max_len_searched=g.n, steps=steps)
+
+
+def is_berge(g: CommGraph, budget: int = DEFAULT_BUDGET,
+             row_labels=None, col_labels=None, max_len: int | None = None) -> Verdict:
+    """Structural certificates, then prune, recognise and search.
+
+    In order: union-of-cliques; grid from the supplied labels; bipartite;
+    then prune (see prune) and decide the pruned graph, which is Berge
+    exactly when g is: union-of-cliques when nothing is left, grid when
+    line_graph_labels finds labels that grid_certificate confirms on it,
+    and otherwise an exhaustive hole+antihole search of it.  So grid means
+    that g, or the graph left after pruning g, is the line graph of a
+    bipartite graph and hence perfect (König).  NotBerge always carries a
+    witness in g's vertex ids, re-verified on g; Unknown reports the
+    largest length range fully covered.  A max_len cap bounds both
+    searches; a capped search that finds nothing is Unknown, not Berge,
+    since longer holes were never ruled out.
+    """
+    if union_of_cliques_certificate(g):
+        return Verdict("Berge", certificate="union-of-cliques")
+    if row_labels is not None and col_labels is not None:
+        if grid_certificate(g, row_labels, col_labels):
+            return Verdict("Berge", certificate="grid")
+    if _two_colouring(g) is not None:
+        return Verdict("Berge", certificate="bipartite")
+    keep = prune(g)
+    h = g if len(keep) == g.n else induced(g, keep)
+    if h.n == 0:
+        return Verdict("Berge", certificate="union-of-cliques")
+    labels = line_graph_labels(h)
+    if labels is not None and grid_certificate(h, *labels):
+        return Verdict("Berge", certificate="grid")
+    v = _search(h, budget, max_len)
+    if v.witness is None:
+        return v
+    w = Witness(v.witness.kind, tuple(keep[u] for u in v.witness.vertices),
+                v.witness.length)
+    if not verify_witness(g, w):
+        raise PcgError("witness from the pruned graph fails on the original")
+    return replace(v, witness=w)
 
 
 # ---------------------------------------------------------------------------

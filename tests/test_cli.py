@@ -348,6 +348,27 @@ def test_main_witness_bad_params(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "alt", "x"],
+    ["witness", "sl3", "7"],
+    ["analyze", "prod(sym:3"],
+])
+def test_main_unparsable_arguments(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: bad arguments:")
+
+
+def test_main_internal_fault_is_not_bad_arguments(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli.classify, "analyze", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["analyze", "alt:5"])
+    out, err = capsys.readouterr()
+    assert "bad arguments" not in out + err
+
+
 def test_main_export_stdout(capsys):
     rc = main(["export", "alt:6", "--reduced"])
     out = capsys.readouterr().out

@@ -1,11 +1,13 @@
 """Berge recognition: hole/antihole search, certificates, exact solvers."""
 
 import random
+import time
 
 import pytest
 
-from pcg.cg import CommGraph, complement
+from pcg.cg import CommGraph, build_graph, collapse_twins, complement, induced
 from pcg.errors import CertificateError, GuardError, PcgError
+from pcg.named import build
 from pcg.perf import (
     Witness,
     chromatic_number,
@@ -16,6 +18,8 @@ from pcg.perf import (
     induces,
     is_berge,
     is_perfect_bruteforce,
+    line_graph_labels,
+    prune,
     union_of_cliques_certificate,
     verify_witness,
 )
@@ -153,8 +157,8 @@ def test_grid_certificate_rooks_graph():
     cols = [c for _, c in cells]
     assert grid_certificate(g, rows, cols)
     assert is_berge(g, row_labels=rows, col_labels=cols).certificate == "grid"
-    # without labels the exhaustive search still says Berge
-    assert is_berge(g).outcome == "Berge"
+    # without labels the line-graph recogniser finds the grid
+    assert is_berge(g).certificate == "grid"
 
 
 def test_grid_certificate_rejects_duplicates():
@@ -254,8 +258,81 @@ def test_verdict_carries_certificate_tag():
     assert v.certificate == "bipartite"
     w = is_berge(_complete(4))
     assert w.certificate == "union-of-cliques"
-    # an exhaustive pass with no structural shortcut reports that
-    g = _graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    # an exhaustive pass with no structural shortcut reports that: this
+    # graph is Berge, prunes to itself and is no line graph of a bipartite
+    # graph
+    g = _graph(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 5), (2, 4),
+                   (2, 5), (3, 4), (3, 5)])
+    assert is_perfect_bruteforce(g)
+    assert prune(g) == list(range(6))
     x = is_berge(g)
     assert x.outcome == "Berge"
     assert x.certificate == "exhausted"
+
+
+def _line_graph(edges):
+    """Line graph of a graph given by its edge list, vertex i = edges[i]."""
+    return _graph(len(edges), [
+        (i, j) for i in range(len(edges)) for j in range(i + 1, len(edges))
+        if set(edges[i]) & set(edges[j])
+    ])
+
+
+def test_line_graphs_of_bipartite_graphs_get_grid():
+    rng = random.Random(1973)
+    grids = 0
+    for _ in range(60):
+        a, b = rng.randrange(2, 7), rng.randrange(2, 7)
+        edges = [(("r", i), ("c", j)) for i in range(a) for j in range(b)
+                 if rng.random() < 0.5]
+        rng.shuffle(edges)  # relabels the line graph's vertices
+        g = collapse_twins(_line_graph(edges))
+        v = is_berge(g)
+        assert (v.outcome, v.steps) == ("Berge", 0)
+        h = induced(g, prune(g))
+        if h.n == 0:
+            continue  # union of cliques, or pruned to nothing
+        assert grid_certificate(h, *line_graph_labels(h))
+        if v.certificate != "bipartite":
+            assert v.certificate == "grid"
+            grids += 1
+    assert grids >= 20
+
+
+def test_prune_keeps_perfection():
+    rng = random.Random(1974)
+    for _ in range(60):
+        g = _random_graph(rng, rng.randrange(1, 11), rng.choice((0.3, 0.5, 0.7)))
+        assert is_perfect_bruteforce(induced(g, prune(g))) == is_perfect_bruteforce(g)
+
+
+def test_pruned_witness_verifies_on_original():
+    # a random core plus an open twin of core vertex t, a pendant vertex
+    # and a universal vertex, which the prune removes before the search
+    rng = random.Random(1975)
+    found = 0
+    for _ in range(60):
+        n = rng.randrange(5, 10)
+        core = _random_graph(rng, n)
+        t = rng.randrange(n)
+        edges = [(u, v) for u in range(n) for v in core.neighbors(u) if u < v]
+        edges += [(u, n) for u in core.neighbors(t)]  # n: open twin of t
+        edges += [((t + 1) % n, n + 1)]  # n + 1: pendant
+        edges += [(u, n + 2) for u in range(n + 2)]  # n + 2: universal
+        g = _graph(n + 3, edges)
+        assert len(prune(g)) <= n
+        v = is_berge(g)
+        if v.outcome == "NotBerge":
+            assert verify_witness(g, v.witness)
+            found += 1
+    assert found >= 10
+
+
+def test_alt6_graphs_get_grid_without_search():
+    G = build("alt:6")
+    for include_center in (False, True):
+        g = build_graph(G, include_center=include_center)
+        t0 = time.perf_counter()
+        v = is_berge(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert (v.certificate, v.steps) == ("grid", 0)
