@@ -184,9 +184,9 @@ def _cache_names(spec: str) -> set[str]:
             for flags in itertools.product((False, True), repeat=3)}
 
 
-def read_cache(path: str):
-    """(graph, encodings) from a cache file, or None when it is absent or
-    corrupt: another format version, a spec line that does not name the
+def _cache_body(path: str) -> str | None:
+    """A cache file's text below its header, or None when the file is absent
+    or corrupt: another format version, a spec line that does not name the
     file, or a body that does not match its digest."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -198,7 +198,16 @@ def read_cache(path: str):
     if (head is None or os.path.basename(path) not in _cache_names(head[1])
             or hashlib.sha256(head[3].encode()).hexdigest() != head[2]):
         return None
-    text = head[3]
+    return head[3]
+
+
+def read_cache(path: str):
+    """(graph, encodings) from a cache file, or None when it is absent or
+    corrupt (see _cache_body) or its body is not a graph with one encoding
+    per vertex."""
+    text = _cache_body(path)
+    if text is None:
+        return None
     try:
         graph = cg.read_dimacs(text)
         encs: dict[int, str] = {}
@@ -213,15 +222,28 @@ def read_cache(path: str):
         return None
 
 
+def _cached_vertex_count(path: str) -> int | None:
+    """The vertex count on a cache file's `p edge` line, read without parsing
+    its edges or vertex table; None when the file is absent or corrupt (see
+    _cache_body) or has no well-formed `p` line."""
+    text = _cache_body(path)
+    if text is None:
+        return None
+    # the first line that starts with p, as in cg.read_dimacs
+    line = re.search(r"^p.*$", text, re.MULTILINE)
+    head = re.fullmatch(r"p edge ([0-9]+) [0-9]+", line[0]) if line else None
+    return None if head is None else int(head[1])
+
+
 def _load_or_build_cached(cache_dir: str, spec: str):
     """The analyze pipeline's graphs, through the cache when possible."""
     red_path = _cache_path(cache_dir, spec, False, True, False)
     col_path = _cache_path(cache_dir, spec, False, True, True)
-    got_red = read_cache(red_path)
+    reduced_n = _cached_vertex_count(red_path)
     got_col = read_cache(col_path)
-    if got_red is not None and got_col is not None:
+    if reduced_n is not None and got_col is not None:
         return classify.CachedGraph(
-            graph=got_col[0], reduced_n=got_red[0].n, encodings=got_col[1]
+            graph=got_col[0], reduced_n=reduced_n, encodings=got_col[1]
         )
     G = build(spec)
     g1 = cg.build_reduced(G)

@@ -14,6 +14,13 @@ a group from the same data yields an identical element table.  Bulk operations
 (closure, conjugation maps, commuting masks) go through one numpy kernel that
 every kind supports: elements become rows of 16-bit codes, rows multiply as
 arrays, and products turn back into encodings.
+
+Group facts are read off the conjugacy classes.  The generator conjugation
+maps are the one pass of products over all of G; a central quotient projects
+its parent's maps instead of multiplying.  The classes are the orbits of the
+maps, the centre is the union of the singleton classes, and reduced_vertices
+infers centralizer abelianness along power maps and central translates,
+building a centralizer mask only for the classes it leaves undecided.
 """
 
 from __future__ import annotations
@@ -37,6 +44,17 @@ def _st(count: int) -> struct.Struct:
     if s is None:
         s = _STRUCTS[count] = struct.Struct(f">{count}H")
     return s
+
+
+def _power(kind: Kind, x: bytes, e: int) -> bytes:
+    """x^e by repeated squaring."""
+    out = kind.identity()
+    while e:
+        if e & 1:
+            out = kind.mul(out, x)
+        x = kind.mul(x, x)
+        e >>= 1
+    return out
 
 
 def _forced_abelian(n: int) -> bool:
@@ -91,12 +109,11 @@ class Kind:
     def mul_arrays(self, A, B):
         raise NotImplementedError
 
-    def mul_all(self, payloads, v, side="right", arr=None):
+    def mul_all(self, payloads, v, arr=None):
+        """The products x*v for x in payloads."""
         if arr is None:
             arr = self.to_array(payloads)
-        V = self.to_array([v])[0]
-        out = self.mul_arrays(arr, V) if side == "right" else self.mul_arrays(V, arr)
-        return self.from_array(out)
+        return self.from_array(self.mul_arrays(arr, self.to_array([v])[0]))
 
     def commute_mask(self, payloads, v, arr=None):
         if arr is None:
@@ -229,14 +246,16 @@ class MatKind(Kind):
         if f.k == 1:
             C = (A.astype(np.int64) @ B.astype(np.int64)) % f.p
         else:
+            # C = sum over j of A[:, j] B[j, :], one n x n slice at a time;
+            # characteristic 2 adds by xor in place
             MT, AT = f.np_tables()
-            T = MT[A[..., :, :, None], B[..., None, :, :]]
-            if f.p == 2:
-                C = np.bitwise_xor.reduce(T, axis=-2)
-            else:
-                C = T[..., 0, :]
-                for k in range(1, n):
-                    C = AT[C, T[..., k, :]]
+            C = MT[A[..., :, 0, None], B[..., None, 0, :]]
+            for j in range(1, n):
+                T = MT[A[..., :, j, None], B[..., None, j, :]]
+                if f.p == 2:
+                    C ^= T
+                else:
+                    C = AT[C, T]
         return C.reshape(C.shape[:-2] + (n * n,)).astype(np.uint16, copy=False)
 
     def __eq__(self, other):
@@ -547,23 +566,37 @@ class Element:
 # closure enumeration
 
 
-def _mulclose(kind: Kind, gens, cap: int):
-    """BFS closure of generator payloads; returns (elems, index)."""
-    idp = kind.identity()
-    elems = [idp]
-    index = {idp: 0}
+def _extend_closure(kind: Kind, elems, index, gens, new, cap: int) -> None:
+    """Grow elems, which holds the identity and is closed under right
+    multiplication by gens, until it is closed under gens + new as well.
+
+    Elements already present are multiplied by new only, the elements this
+    adds by every generator.  elems and index grow in place; CapError past
+    cap elements.
+    """
+    done = len(elems)
+    every = list(gens) + list(new)
     pos = 0
     while pos < len(elems):
-        chunk = elems[pos:pos + _CHUNK]
+        old = pos < done
+        chunk = elems[pos:min(pos + _CHUNK, done) if old else pos + _CHUNK]
         pos += len(chunk)
         arr = kind.to_array(chunk)
-        for g in gens:
-            for p in kind.mul_all(chunk, g, "right", arr=arr):
+        for g in new if old else every:
+            for p in kind.mul_all(chunk, g, arr=arr):
                 if p not in index:
                     if len(elems) >= cap:
                         raise CapError(f"closure exceeded cap {cap}")
                     index[p] = len(elems)
                     elems.append(p)
+
+
+def _mulclose(kind: Kind, gens, cap: int):
+    """BFS closure of generator payloads; returns (elems, index)."""
+    idp = kind.identity()
+    elems = [idp]
+    index = {idp: 0}
+    _extend_closure(kind, elems, index, [], gens, cap)
     return elems, index
 
 
@@ -686,12 +719,9 @@ class Group:
         return self.kind.commute_mask(payloads, self.elems[i], arr=arr)
 
     def center(self) -> tuple[int, ...]:
+        """Indices of the central elements: the singleton conjugacy classes."""
         if self._center is None:
-            n = len(self)
-            mask = np.ones(n, dtype=bool)
-            for g in self.gens:
-                mask &= self.kind.commute_mask(self.elems, g, arr=self.arr())
-            self._center = tuple(int(i) for i in np.flatnonzero(mask))
+            self._center = tuple(c[0] for c in self.conjugacy_classes() if len(c) == 1)
         return self._center
 
     def centralizer(self, i: int) -> list[int]:
@@ -707,53 +737,68 @@ class Group:
 
     # -- conjugacy ---------------------------------------------------------
 
-    def conjugation_maps(self) -> list[list[int]]:
-        """One index map per generator g: maps[k][i] is the index of
-        g^-1 x g for x = elems[i]."""
+    def conjugation_maps(self) -> list[np.ndarray]:
+        """One int32 index map per generator g: maps[k][i] is the index of
+        g^-1 x g for x = elems[i].
+
+        These maps are the group layer's one pass of products over all of G;
+        classes, the centre and the quotient's maps are read off them.  A
+        central quotient projects its parent's maps through proj instead:
+        conjugation by g sends the coset xZ to (g^-1 x g)Z.
+        """
         if self._conj is None:
+            n = len(self)
             maps = []
-            for g in self.gens:
-                gi = self.kind.inv(g)
-                t = self.kind.mul_all(self.elems, g, "right", arr=self.arr())
-                u = self.kind.mul_all(t, gi, "left")
-                maps.append([self.index[p] for p in u])
+            if self.parent is not None:
+                P, proj = self.parent, self.proj
+                # the first parent generator behind each quotient generator
+                behind = {}
+                for j, g in enumerate(P.gens):
+                    behind.setdefault(int(proj[P.index[g]]), j)
+                pmaps = P.conjugation_maps()
+                for g in self.gens:
+                    m = np.empty(n, dtype=np.int32)
+                    m[proj] = proj[pmaps[behind[self.index[g]]]]
+                    maps.append(m)
+            else:
+                k, index = self.kind, self.index
+                for g in self.gens:
+                    rows = k.to_array([g, k.inv(g)])
+                    conj = k.mul_arrays(rows[1], k.mul_arrays(self.arr(), rows[0]))
+                    maps.append(np.fromiter((index[p] for p in k.from_array(conj)),
+                                            dtype=np.int32, count=n))
             self._conj = maps
         return self._conj
 
     def conjugacy_classes(self) -> list[list[int]]:
+        """Orbits of the conjugation maps, each sorted, in order of their
+        smallest element."""
         if self._classes is None:
             n = len(self)
-            maps = self.conjugation_maps()
-            seen = bytearray(n)
-            classes = []
-            class_of = [0] * n
-            for i in range(n):
-                if seen[i]:
-                    continue
-                orbit = [i]
-                seen[i] = 1
-                stack = [i]
-                while stack:
-                    x = stack.pop()
-                    for cm in maps:
-                        y = cm[x]
-                        if not seen[y]:
-                            seen[y] = 1
-                            orbit.append(y)
-                            stack.append(y)
-                orbit.sort()
-                ci = len(classes)
-                for x in orbit:
-                    class_of[x] = ci
-                classes.append(orbit)
-            self._classes = classes
-            self._class_of = class_of
-            self._class_orders = [None] * len(classes)
+            # label every element by the smallest index of its orbit: pull
+            # the smaller label along each map, then follow labels to their
+            # own labels, until a round changes nothing
+            lab = np.arange(n, dtype=np.int32)
+            while True:
+                new = lab
+                for m in self.conjugation_maps():
+                    new = np.minimum(new, new[m])
+                new = new[new]
+                if np.array_equal(new, lab):
+                    break
+                lab = new
+            order = np.argsort(lab, kind="stable")
+            cuts = np.flatnonzero(np.diff(lab[order])) + 1
+            self._classes = [c.tolist() for c in np.split(order, cuts)]
+            rank = np.empty(n, dtype=np.int32)
+            rank[lab[order[np.r_[0, cuts]]]] = np.arange(len(self._classes))
+            self._class_of = rank[lab]
+            self._class_orders = [None] * len(self._classes)
         return self._classes
 
     def class_of(self, i: int) -> int:
         self.conjugacy_classes()
-        return self._class_of[i]
+        return int(self._class_of[i])
 
     def class_order(self, ci: int) -> int:
         self.conjugacy_classes()
@@ -768,20 +813,62 @@ class Group:
     # -- reduction support ---------------------------------------------------
 
     def reduced_vertices(self) -> list[int]:
-        """Non-central elements whose centralizer is non-abelian."""
+        """Non-central elements whose centralizer is non-abelian.
+
+        Whether C(x) is abelian is a fact about x's class.  For x non-central,
+        z central and p a prime dividing the order of x, it is read off:
+        - the order |C(x)| = |G|/|class|, when every group of that order is
+          abelian (_forced_abelian);
+        - C(x) ⊆ C(x^p): an abelian C(x^p) makes C(x) abelian, and a
+          non-abelian C(x) makes C(x^p) non-abelian (a subgroup of an
+          abelian group is abelian);
+        - C(xz) = C(x): x and xz commute with the same elements.
+        Classes left undecided get a centralizer mask over G, in ascending
+        element order, and each answer is passed on along these facts.
+        """
         if self._reduced is None:
+            classes = self.conjugacy_classes()
+            k = self.kind
             n = len(self)
-            out = []
-            for cls in self.conjugacy_classes():
-                if len(cls) == 1:
-                    continue  # central
-                if _forced_abelian(n // len(cls)):
-                    continue
-                cent = self.centralizer(cls[0])
-                if not self.is_abelian_subset(cent):
-                    out.extend(cls)
-            out.sort()
-            self._reduced = out
+            noncentral = [c for c, cls in enumerate(classes) if len(cls) > 1]
+            # up[c]: classes whose centralizer contains C(c); down: the reverse
+            up = {c: [] for c in noncentral}
+            down = {c: [] for c in noncentral}
+            for c in noncentral:
+                x = self.elems[classes[c][0]]
+                o = self.class_order(c)
+                powers = [_power(k, x, p) for p in range(2, o + 1)
+                          if o % p == 0 and _is_prime(p)]
+                for y in powers:
+                    d = self.class_of(self.index[y])
+                    if d in up:
+                        up[c].append(d)
+                        down[d].append(c)
+                for z in self.center()[1:]:
+                    d = self.class_of(self.index[k.mul(x, self.elems[z])])
+                    up[c].append(d)
+                    down[c].append(d)
+            abelian: dict[int, bool] = {}
+
+            def settle(c, ab):
+                stack = [c]
+                while stack:
+                    c = stack.pop()
+                    if c in abelian:
+                        if abelian[c] != ab:
+                            raise PcgError("contradictory centralizer facts")
+                        continue
+                    abelian[c] = ab
+                    stack.extend(down[c] if ab else up[c])
+
+            for c in noncentral:
+                if _forced_abelian(n // len(classes[c])):
+                    settle(c, True)
+            for c in sorted(noncentral, key=lambda c: (self.class_order(c), c)):
+                if c not in abelian:
+                    settle(c, self.is_abelian_subset(self.centralizer(classes[c][0])))
+            self._reduced = sorted(i for c in noncentral if not abelian[c]
+                                   for i in classes[c])
         return self._reduced
 
     def is_ac_group(self) -> bool:
@@ -793,28 +880,26 @@ class Group:
     def _normal_closure_size(self, seeds) -> int:
         """Order of the normal closure of the seed payloads.
 
+        Each round extends the subgroup found so far by the conjugates, under
+        the generators, of the seeds added last that it does not yet hold.
         A subgroup with more than |G|/2 elements is G itself (Lagrange), so
-        each closure stops there and the answer is then |G|.
+        the closure stops there and the answer is then |G|.
         """
-        idp = self.kind.identity()
-        seeds = sorted(set(seeds) - {idp})
-        if not seeds:
-            return 1
-        n = len(self)
-        while True:
-            try:
-                elems, index = _mulclose(self.kind, seeds, cap=n // 2)
-            except CapError:
-                return n
-            new = []
-            for s in seeds:
-                for g in self.gens:
-                    c = self.kind.mul(self.kind.mul(self.kind.inv(g), s), g)
-                    if c not in index:
-                        new.append(c)
-            if not new:
-                return len(elems)
-            seeds = sorted(set(seeds) | set(new))
+        k = self.kind
+        idp = k.identity()
+        elems, index = [idp], {idp: 0}
+        gens: list[bytes] = []
+        new = sorted(set(seeds) - {idp})
+        conj = [(k.inv(g), g) for g in self.gens]
+        try:
+            while new:
+                _extend_closure(k, elems, index, gens, new, len(self) // 2)
+                gens += new
+                new = sorted({k.mul(k.mul(gi, s), g) for s in new for gi, g in conj}
+                             - index.keys())
+        except CapError:
+            return len(self)
+        return len(elems)
 
     def is_perfect_group(self) -> bool:
         """True when the normal closure of generator commutators is everything."""
@@ -852,8 +937,11 @@ class Group:
         ]
         if not candidates:
             return True
-        for cls in classes[1:]:
-            if self._normal_closure_size([self.elems[cls[0]]]) < n:
+        # a proper normal subgroup N > 1 holds an element of prime order (a
+        # power of any x in N), so only those classes need their closure
+        for ci, cls in enumerate(classes[1:], 1):
+            if (_is_prime(self.class_order(ci))
+                    and self._normal_closure_size([self.elems[cls[0]]]) < n):
                 return False
         return True
 
@@ -911,7 +999,8 @@ def central_quotient(G: Group, central_indices) -> Group:
         if c not in seen:
             seen.add(c)
             gens.append(c)
-    return Group(ck, elems, gens, parent=G, proj=proj, _index=index)
+    return Group(ck, elems, gens, parent=G, proj=np.asarray(proj, dtype=np.int32),
+                 _index=index)
 
 
 def direct_product(A: Group, B: Group, cap: int = DEFAULT_CAP, name: str = "") -> Group:

@@ -236,6 +236,36 @@ def test_main_analyze_cache_rebuilds_malformed_body(tmp_path, capsys):
         assert fh.read() == good
 
 
+@pytest.mark.parametrize("tamper", ["digest", "p line"])
+def test_main_analyze_cache_rebuilds_reduced_file(tmp_path, capsys, tamper):
+    # the reduced file only gives its vertex count, read off the p line;
+    # a stale digest or a malformed p line still means a rebuild
+    d = str(tmp_path / "cache")
+    main(["analyze", "sl:3:2", "--cache-dir", d])
+    out1 = capsys.readouterr().out
+    path = cli._cache_path(d, "sl:3:2", False, True, False)
+    assert cli._cached_vertex_count(path) == cli.read_cache(path)[0].n
+    with open(path, "rb") as fh:
+        good = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        body = fh.read().split("\n", 3)[3]
+    bad = re.sub(r"^p edge (\d+)", r"p edge x\1", body, flags=re.M)
+    assert bad != body
+    if tamper == "digest":
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(good.decode().replace(body, bad))
+    else:
+        _rewrite_cache_body(path, bad)
+    assert cli._cached_vertex_count(path) is None
+    rc = main(["analyze", "sl:3:2", "--cache-dir", d])
+    out2 = capsys.readouterr().out
+    assert rc == 0
+    strip = lambda s: [l for l in s.splitlines() if not l.startswith("seconds")]
+    assert strip(out2) == strip(out1)
+    with open(path, "rb") as fh:
+        assert fh.read() == good
+
+
 def test_main_analyze_cache_with_non_integer_matrix_code(tmp_path, capsys):
     # an encoding table that grid labels cannot read leaves the search to decide
     d = str(tmp_path / "cache")

@@ -10,10 +10,12 @@ from pcg.gf import ff_make
 from pcg.grp import (
     CosetKind,
     Element,
+    Group,
     MatKind,
     PairKind,
     PermKind,
     SemiKind,
+    _mulclose,
     central_quotient,
     direct_product,
     generate,
@@ -218,8 +220,7 @@ def test_commute_mask_against_bruteforce(spec, kind):
             assert bool(mask[j]) == expected
     k = G.kind
     for v in G.elems[1:4]:
-        assert k.mul_all(G.elems, v, "right") == [k.mul(x, v) for x in G.elems]
-        assert k.mul_all(G.elems, v, "left") == [k.mul(v, x) for x in G.elems]
+        assert k.mul_all(G.elems, v) == [k.mul(x, v) for x in G.elems]
 
 
 @pytest.mark.parametrize("spec, kind", _KIND_SPECS)
@@ -251,6 +252,71 @@ def test_reduced_vertices():
     assert not sym4.is_ac_group()
     for i in red:
         assert sym4.element_order(i) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    "sl:3:4", "sp:4:3", "3a6", "fib(3a6,sl:2:9)", "su:3:3", "psu:3:3",
+    "aut-sl2-8", "alt:8", "sym:6", "pgl:2:9", "prod(sym:3,sym:3,sym:3)",
+])
+def test_reduced_vertices_match_definition(spec):
+    # the inferred answer, class by class, against a centralizer mask
+    G = build(spec)
+    reduced = set(G.reduced_vertices())
+    for cls in G.conjugacy_classes():
+        expected = len(cls) > 1 and not G.is_abelian_subset(G.centralizer(cls[0]))
+        assert all((i in reduced) == expected for i in cls)
+
+
+@pytest.mark.parametrize("spec", [
+    "sl:3:4", "3a6", "gl:2:3", "prod(sym:3,sym:3,sym:3)", "psl:2:17", "sym:4",
+])
+def test_center_is_intersection_of_generator_masks(spec):
+    G = build(spec)
+    mask = np.ones(len(G), dtype=bool)
+    for g in G.gens:
+        mask &= G.commute_mask(G.index[g])
+    assert G.center() == tuple(np.flatnonzero(mask))
+
+
+@pytest.mark.parametrize("spec", ["psl:3:4", "psu:3:3", "pgl:2:9", "cq(3a6)", "psl:2:17"])
+def test_projected_quotient_maps_match_products(spec):
+    # a quotient's maps come from its parent's through proj; a copy of the
+    # quotient without a parent computes them from products
+    Q = build(spec)
+    assert Q.parent is not None
+    fresh = Group(Q.kind, Q.elems, Q.gens)
+    assert [m.tolist() for m in Q.conjugation_maps()] == [
+        m.tolist() for m in fresh.conjugation_maps()]
+    assert Q.conjugacy_classes() == fresh.conjugacy_classes()
+    assert Q.center() == fresh.center()
+
+
+def _closure_from_identity(G, seeds):
+    # the normal closure, restarting the subgroup closure every round
+    k = G.kind
+    n = len(G)
+    seeds = sorted(set(seeds) - {k.identity()})
+    if not seeds:
+        return 1
+    while True:
+        try:
+            elems, index = _mulclose(k, seeds, cap=n // 2)
+        except CapError:
+            return n
+        new = {k.mul(k.mul(k.inv(g), s), g) for s in seeds for g in G.gens} - index.keys()
+        if not new:
+            return len(elems)
+        seeds = sorted(set(seeds) | new)
+
+
+@pytest.mark.parametrize("spec", [
+    "sym:4", "sym:5", "gl:2:3", "sl:2:5", "3a6", "prod(sym:3,sym:3,sym:3)",
+])
+def test_normal_closure_matches_restart_from_identity(spec):
+    G = build(spec)
+    reps = [G.elems[cls[0]] for cls in G.conjugacy_classes()]
+    for seeds in [[r] for r in reps] + list(zip(reps[1:], reps[2:])):
+        assert G._normal_closure_size(seeds) == _closure_from_identity(G, seeds)
 
 
 def test_perfect_simple_quasisimple():
