@@ -1,14 +1,19 @@
-"""Commuting graphs and the two sound reductions.
+"""Commuting graphs and the reductions that keep their Berge verdict.
 
 A commuting graph has one vertex per chosen group element and an edge between
-two vertices whose elements commute.  The two reductions implemented here
-keep the Berge verdict unchanged:
+two vertices whose elements commute.  The pipeline's reductions are
+perf.prune's three graph rules, read off group facts instead of rows:
 
-* dropping vertices with abelian centralizer (they lie on no hole or
-  antihole of length >= 5), and
-* collapsing twin vertices (no such hole or antihole contains two vertices
-  with identical open neighborhoods, or two with identical closed
-  neighborhoods).
+* dropping the centre drops universal vertices (a central element commutes
+  with everything);
+* dropping elements with abelian centralizer drops simplicial vertices (for
+  x non-central, C(x) is abelian exactly when x's neighbourhood in the graph
+  on G minus its centre is a clique); and
+* collapsing twins keeps one vertex per twin class (twin_classes).
+
+A hole or antihole of length >= 5 has no universal or simplicial vertex and
+no two twins, so one soundness argument covers the group-level reductions
+and the graph-level ones alike.
 
 Adjacency rows are arbitrary-width python-int bitsets; vertex order follows
 group element order, so rebuilding a graph from the same spec reproduces it
@@ -28,39 +33,27 @@ from .grp import Group
 FULL_VERTEX_GUARD = 30_000
 REDUCED_VERTEX_GUARD = 100_000
 
-TWIN_NOTE = (
-    "collapse soundness: a hole or antihole of length >= 5 never contains "
-    "two vertices with equal open neighborhoods nor two with equal closed "
-    "neighborhoods, so keeping one representative per class preserves the "
-    "Berge verdict"
-)
-
 
 class CommGraph:
     """Immutable undirected graph with optional group provenance.
 
     rows[u] is a bitset of the neighbors of u (bit u itself always clear).
     vids maps vertex id to an element index in the source group; group is the
-    Group itself when available (dropped by complement and DIMACS reads).
+    Group itself when available.  Graphs built from a group, their induced
+    subgraphs and twin collapses, and the cached graphs `analyze` loads
+    (cli._load_or_build_cached decodes the file's vertex table against the
+    spec's group) carry both; complements and bare DIMACS reads, including
+    the graph cli.read_cache returns, have neither.
     """
 
-    __slots__ = (
-        "n", "rows", "spec", "vids", "group",
-        "includes_center", "reduced", "collapsed", "report",
-    )
+    __slots__ = ("n", "rows", "spec", "vids", "group")
 
-    def __init__(self, n, rows, spec="", vids=None, group=None,
-                 includes_center=False, reduced=False, collapsed=False,
-                 report=None):
+    def __init__(self, n, rows, spec="", vids=None, group=None):
         self.n = n
         self.rows = list(rows)
         self.spec = spec
         self.vids = list(vids) if vids is not None else None
         self.group = group
-        self.includes_center = includes_center
-        self.reduced = reduced
-        self.collapsed = collapsed
-        self.report = dict(report) if report else {}
         if len(self.rows) != n:
             raise PcgError("row count does not match vertex count")
 
@@ -100,13 +93,7 @@ class CommGraph:
         return hash((self.n, tuple(self.rows)))
 
     def __repr__(self):
-        tags = [t for t, on in (
-            ("center", self.includes_center),
-            ("reduced", self.reduced),
-            ("collapsed", self.collapsed),
-        ) if on]
-        tag = "," + "+".join(tags) if tags else ""
-        return f"CommGraph({self.spec or '?'}{tag}, n={self.n}, m={self.edge_count()})"
+        return f"CommGraph({self.spec or '?'}, n={self.n}, m={self.edge_count()})"
 
 
 def _bits(x: int) -> list[int]:
@@ -184,11 +171,7 @@ def build_graph(G: Group, include_center: bool = False) -> CommGraph:
             f"{len(vids)} vertices exceeds the {FULL_VERTEX_GUARD} guard for "
             "full graphs; use build_reduced"
         )
-    return CommGraph(
-        len(vids), _adjacency(G, vids), spec=G.name, vids=vids, group=G,
-        includes_center=include_center,
-        report={"central_excluded": 0 if include_center else len(center)},
-    )
+    return CommGraph(len(vids), _adjacency(G, vids), spec=G.name, vids=vids, group=G)
 
 
 def build_reduced(G: Group) -> CommGraph:
@@ -199,56 +182,40 @@ def build_reduced(G: Group) -> CommGraph:
         raise GuardError(
             f"{len(vids)} reduced vertices exceeds the {REDUCED_VERTEX_GUARD} guard"
         )
-    ncentral = len(G.center())
-    return CommGraph(
-        len(vids), _adjacency(G, vids), spec=G.name, vids=vids, group=G,
-        reduced=True,
-        report={
-            "central_excluded": ncentral,
-            "abelian_centralizer_excluded": len(G) - ncentral - len(vids),
-        },
-    )
+    return CommGraph(len(vids), _adjacency(G, vids), spec=G.name, vids=vids, group=G)
 
 
-def _twin_pass(rows, alive: int, closed: bool):
-    """Twin classes among the vertices of the bitset alive, by open or
-    closed neighbourhood within it; each class is sorted and the classes
-    are ordered by their smallest member."""
-    groups: dict[int, list[int]] = {}
+def twin_classes(rows, alive: int) -> list[list[int]]:
+    """Twin classes of the graph induced on the vertices of the bitset alive.
+
+    An open pass groups vertices by open neighbourhood within alive; a
+    closed pass then groups the open classes' smallest members by closed
+    neighbourhood among those members, and each closed group becomes one
+    class, the union of its open classes.  Each class is sorted and the
+    classes are ordered by their smallest member.
+
+    Collapse soundness: a hole or antihole of length >= 5 never contains
+    two vertices with equal open neighbourhoods nor two with equal closed
+    neighbourhoods, so keeping one representative per class preserves the
+    Berge verdict.
+    """
+    # dicts keep insertion order, here ascending by smallest member
+    by_open: dict[int, list[int]] = {}
     for u in _bits(alive):
-        key = rows[u] & alive | (1 << u if closed else 0)
-        groups.setdefault(key, []).append(u)
-    classes = sorted(groups.values())  # ascending by smallest member
-    reps = [c[0] for c in classes]
-    return reps, classes
+        by_open.setdefault(rows[u] & alive, []).append(u)
+    reps = 0
+    for c in by_open.values():
+        reps |= 1 << c[0]
+    by_closed: dict[int, list[int]] = {}
+    for c in by_open.values():
+        by_closed.setdefault(rows[c[0]] & reps | 1 << c[0], []).extend(c)
+    return [sorted(c) for c in by_closed.values()]
 
 
 def collapse_twins(g: CommGraph) -> CommGraph:
-    """One representative per twin class: open-neighborhood classes first,
-    then closed-neighborhood classes; representative = smallest vertex id."""
-    reps1, classes1 = _twin_pass(g.rows, (1 << g.n) - 1, closed=False)
-    rows1 = _subrows(g.rows, g.n, reps1)
-    n1 = len(reps1)
-    reps2, classes2 = _twin_pass(rows1, (1 << n1) - 1, closed=True)
-    rows2 = _subrows(rows1, n1, reps2)
-    classes = [
-        sorted(v for c1 in cls2 for v in classes1[c1])
-        for cls2 in classes2
-    ]
-    reps = [c[0] for c in classes]
-    report = dict(g.report)
-    report.update({
-        "twin_classes": [len(c) for c in classes],
-        "open_merges": g.n - n1,
-        "closed_merges": n1 - len(reps2),
-        "twin_note": TWIN_NOTE,
-    })
-    return CommGraph(
-        len(reps), rows2, spec=g.spec,
-        vids=[g.vids[r] for r in reps] if g.vids is not None else None,
-        group=g.group, includes_center=g.includes_center,
-        reduced=g.reduced, collapsed=True, report=report,
-    )
+    """The subgraph induced on the smallest vertex of each twin class
+    (twin_classes)."""
+    return induced(g, [c[0] for c in twin_classes(g.rows, (1 << g.n) - 1)])
 
 
 def complement(g: CommGraph) -> CommGraph:
@@ -266,8 +233,7 @@ def induced(g: CommGraph, vertices) -> CommGraph:
     return CommGraph(
         len(keep), _subrows(g.rows, g.n, keep), spec=g.spec,
         vids=[g.vids[u] for u in keep] if g.vids is not None else None,
-        group=g.group, includes_center=g.includes_center,
-        reduced=g.reduced, collapsed=g.collapsed, report=g.report,
+        group=g.group,
     )
 
 

@@ -8,6 +8,7 @@ spec and reports one line per row.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -81,11 +82,11 @@ class Report:
 
 @dataclass(frozen=True)
 class CachedGraph:
-    """A reduced+collapsed graph restored from disk instead of recomputed."""
+    """A reduced+collapsed graph restored from disk instead of recomputed,
+    with its group and vertex ids attached as on a fresh one."""
 
     graph: cg.CommGraph
     reduced_n: int
-    encodings: tuple[str, ...]
 
 
 def _line(f, v):
@@ -164,7 +165,7 @@ def grid_labels_from_encodings(encodings):
     return rows_out, cols_out
 
 
-def analyze(spec: str, include_center: bool = False, collapse: bool = True,
+def analyze(spec: str, include_center: bool = False,
             budget: int = perf.DEFAULT_BUDGET, max_len: int | None = None,
             cached: CachedGraph | None = None) -> Report:
     """Build the group, reduce and collapse its graph, and decide Berge.
@@ -186,7 +187,6 @@ def analyze(spec: str, include_center: bool = False, collapse: bool = True,
         reduced_n = cached.reduced_n
         # reduced graph emptiness is the definition of an AC-group
         ac_group = reduced_n == 0
-        render = cached.encodings.__getitem__
     else:
         if include_center:
             graph = cg.build_graph(G, include_center=True)
@@ -194,21 +194,15 @@ def analyze(spec: str, include_center: bool = False, collapse: bool = True,
             graph = cg.build_reduced(G)
         reduced_n = graph.n
         ac_group = G.is_ac_group()
-        if collapse:
-            graph = cg.collapse_twins(graph)
-        render = graph.render_vertex
-    collapsed_n = graph.n
-    labels = None
-    if collapse:
-        labels = grid_labels_from_encodings(map(render, range(graph.n)))
-    rows, cols = labels or (None, None)
+        graph = cg.collapse_twins(graph)
+    rows, cols = grid_labels(graph) or (None, None)
     verdict = perf.is_berge(graph, budget=budget, max_len=max_len,
                             row_labels=rows, col_labels=cols)
     witness = verdict.witness
     encodings = None
     if witness is not None:
-        encodings = tuple(render(v) for v in witness.vertices)
         try:
+            encodings = tuple(graph.render_vertex(v) for v in witness.vertices)
             ok = (verify_witness(graph, witness)
                   and wit.decode(G, key, witness.kind, encodings).verify())
         except PcgError as e:
@@ -229,7 +223,7 @@ def analyze(spec: str, include_center: bool = False, collapse: bool = True,
         quasisimple=quasisimple,
         ac_group=ac_group,
         reduced_n=reduced_n,
-        collapsed_n=collapsed_n,
+        collapsed_n=graph.n,
         outcome=verdict.outcome,
         certificate=verdict.certificate,
         witness=witness,
@@ -274,15 +268,12 @@ def run_suite(filter: str = "", budget: int = perf.DEFAULT_BUDGET,
     """
     specs = [s for s in SUITE_ROWS if filter in s]
     reports: list[Report] = []
+    pool = None
     if jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for r in pool.map(_suite_row, [(s, budget) for s in specs]):
-                reports.append(r)
-                if echo is not None:
-                    echo(suite_line(r))
-    else:
-        for s in specs:
-            r = analyze(s, budget=budget)
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    work = [(s, budget) for s in specs]
+    with pool or contextlib.nullcontext():
+        for r in (pool.map if pool else map)(_suite_row, work):
             reports.append(r)
             if echo is not None:
                 echo(suite_line(r))

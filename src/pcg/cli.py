@@ -203,23 +203,25 @@ def _cache_body(path: str) -> str | None:
 
 def read_cache(path: str):
     """(graph, encodings) from a cache file, or None when it is absent or
-    corrupt (see _cache_body) or its body is not a graph with one encoding
-    per vertex."""
+    corrupt (see _cache_body) or its body is not a leading `c v` block with
+    one encoding per vertex, in vertex order, above a DIMACS graph."""
     text = _cache_body(path)
     if text is None:
         return None
-    try:
-        graph = cg.read_dimacs(text)
-        encs: dict[int, str] = {}
-        for line in text.splitlines():
-            m = re.fullmatch(r"c v (\d+) (\S+)", line)
-            if m:
-                encs[int(m.group(1))] = m.group(2)
-        if sorted(encs) != list(range(graph.n)):
+    table = re.match(r"(?:c v [0-9]+ \S+\n)*", text)[0]
+    encs = []
+    for u, line in enumerate(table.splitlines()):
+        _, _, idx, enc = line.split(" ")
+        if idx != str(u):
             return None
-        return graph, tuple(encs[u] for u in range(graph.n))
+        encs.append(enc)
+    try:
+        graph = cg.read_dimacs(text[len(table):])
     except PcgError:
         return None
+    if graph.n != len(encs):
+        return None
+    return graph, tuple(encs)
 
 
 def _cached_vertex_count(path: str) -> int | None:
@@ -236,21 +238,37 @@ def _cached_vertex_count(path: str) -> int | None:
 
 
 def _load_or_build_cached(cache_dir: str, spec: str):
-    """The analyze pipeline's graphs, through the cache when possible."""
+    """The analyze pipeline's graphs, through the cache when possible.
+
+    The collapsed file's vertex table is decoded against the freshly built
+    group, so a cached graph has the group and vertex ids a fresh one has.
+    A table that does not decode to ascending element indices, as a fresh
+    graph's vertex ids are, means a rebuild, as a corrupt file does: an
+    entry that is malformed, names no element of the group, or names an
+    element twice.
+    """
     red_path = _cache_path(cache_dir, spec, False, True, False)
     col_path = _cache_path(cache_dir, spec, False, True, True)
+    G = build(spec)
     reduced_n = _cached_vertex_count(red_path)
     got_col = read_cache(col_path)
     if reduced_n is not None and got_col is not None:
-        return classify.CachedGraph(
-            graph=got_col[0], reduced_n=reduced_n, encodings=got_col[1]
-        )
-    G = build(spec)
+        graph, encodings = got_col
+        try:
+            vids = wit.decode_indices(G, spec, encodings)
+        except PcgError:
+            vids = None
+        if vids is not None and vids == sorted(set(vids)):
+            return classify.CachedGraph(
+                graph=cg.CommGraph(graph.n, graph.rows, spec=G.name,
+                                   vids=vids, group=G),
+                reduced_n=reduced_n,
+            )
     g1 = cg.build_reduced(G)
     g2 = cg.collapse_twins(g1)
     write_cache(red_path, g1, spec)
-    encodings = write_cache(col_path, g2, spec)
-    return classify.CachedGraph(graph=g2, reduced_n=g1.n, encodings=encodings)
+    write_cache(col_path, g2, spec)
+    return classify.CachedGraph(graph=g2, reduced_n=g1.n)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cg import CommGraph, _bits, _twin_pass, complement, induced
+from .cg import CommGraph, _bits, complement, induced, twin_classes
 from .errors import CertificateError, GuardError, PcgError
 
 DEFAULT_BUDGET = 10**8
@@ -296,9 +296,9 @@ def prune(g: CommGraph) -> list[int]:
     None of these steps changes the Berge verdict.  A vertex of a hole of
     length >= 4 or an antihole of length >= 5 has two non-adjacent
     neighbours and a non-neighbour on it, so it is neither simplicial (its
-    neighbourhood a clique) nor universal; twins are cg.TWIN_NOTE.  So the
-    graph induced on the result is Berge exactly when g is, and each of its
-    odd holes and antiholes is one of g's.
+    neighbourhood a clique) nor universal; for twins see cg.twin_classes.
+    So the graph induced on the result is Berge exactly when g is, and each
+    of its odd holes and antiholes is one of g's.
     """
     rows = g.rows
     alive = (1 << g.n) - 1
@@ -308,9 +308,7 @@ def prune(g: CommGraph) -> list[int]:
             nb = rows[u] & alive
             if nb | 1 << u == alive or _is_clique(rows, nb):
                 alive ^= 1 << u
-        for closed in (False, True):
-            reps, _ = _twin_pass(rows, alive, closed)
-            alive = sum(1 << u for u in reps)
+        alive = sum(1 << c[0] for c in twin_classes(rows, alive))
         if alive == before:
             return _bits(alive)
 

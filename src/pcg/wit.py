@@ -8,6 +8,8 @@ commutation alone, so a tuple stays verifiable even when its group is far
 too large to enumerate; when the group *is* available, decode() turns
 element encodings back into a tuple of its elements, and the same tuple can
 be located inside a built commuting graph and re-checked there.
+decode_indices, under decode, is the one place an encoding becomes an
+element; cache loads use it too, to give a cached graph its vertex ids.
 """
 
 from __future__ import annotations
@@ -69,19 +71,25 @@ class ElementTuple:
         return [e.render() for e in self.elements]
 
 
-def decode(G: Group, spec: str, kind: str, encodings) -> ElementTuple:
-    """The tuple of G's elements that the encodings render; PcgError when
-    an encoding is malformed or names no element of G."""
-    elems = []
+def decode_indices(G: Group, spec: str, encodings) -> list[int]:
+    """Indices in G of the elements the encodings render; PcgError when an
+    encoding is malformed or names no element of G."""
+    out = []
     for enc in encodings:
         try:
             p = G.kind.parse_render(enc)
         except ValueError:
             raise PcgError(f"malformed element encoding {enc!r}") from None
-        if p not in G.index:
+        i = G.index.get(p)
+        if i is None:
             raise PcgError(f"{enc} is not an element of {spec}")
-        elems.append(Element(G.kind, p))
-    return ElementTuple(spec, kind, elems)
+        out.append(i)
+    return out
+
+
+def decode(G: Group, spec: str, kind: str, encodings) -> ElementTuple:
+    """The tuple of G's elements that the encodings render (decode_indices)."""
+    return ElementTuple(spec, kind, map(G.element, decode_indices(G, spec, encodings)))
 
 
 def _checked(et: ElementTuple, what: str) -> ElementTuple:

@@ -15,8 +15,10 @@ from pcg.cg import (
     read_dimacs,
     read_dimacs_file,
     to_dimacs,
+    twin_classes,
     write_dimacs,
 )
+from pcg.classify import SUITE_ROWS
 from pcg.errors import PcgError
 from pcg.named import build
 from pcg.perf import is_perfect_bruteforce
@@ -41,10 +43,8 @@ def test_build_graph_sym3():
     # five non-central elements; only the two 3-cycles commute
     assert g.n == 5
     assert g.edge_count() == 1
-    assert not g.includes_center
     full = build_graph(G, include_center=True)
     assert full.n == 6
-    assert full.includes_center
     # the identity is adjacent to everything else
     assert sorted(full.degree(u) for u in range(6)) == [1, 1, 1, 2, 2, 5]
 
@@ -82,7 +82,6 @@ def test_build_reduced():
     r = build_reduced(build("sym:4"))
     assert r.n == 3
     assert r.edge_count() == 3
-    assert r.reduced
     G = build("sym:4")
     for u in range(r.n):
         i = r.vids[u]
@@ -113,6 +112,36 @@ def test_transported_rows_match_commute_masks(spec, kind, variants):
             assert g.rows[u] == sum(1 << int(v) for v in np.flatnonzero(mask))
 
 
+# the suite rows whose groups have order at most 1000
+SMALL_SUITE_ROWS = (
+    "alt:5", "alt:6", "sl:2:4", "sl:2:5", "sl:2:7", "sl:2:8", "sl:2:9",
+    "sl:3:2", "sym:5", "sym:6", "pgl:2:5", "pgl:2:7", "pgl:2:9", "psl:2:11",
+    "prod(sym:3,sym:3,sym:3)",
+)
+
+
+@pytest.mark.parametrize("spec", SMALL_SUITE_ROWS)
+def test_group_reductions_are_graph_rules(spec):
+    # the group-level reductions are prune's rules read off group facts:
+    # for x non-central, C(x) is abelian exactly when x's neighbourhood in
+    # the graph on G minus Z(G) is a clique, and Z(G) is the set of
+    # universal vertices of the graph on all of G
+    assert spec in SUITE_ROWS
+    G = build(spec)
+    assert len(G) <= 1000
+    g = build_graph(G)
+
+    def simplicial(u):
+        nb = g.rows[u]
+        return all((g.rows[v] | 1 << v) & nb == nb for v in g.neighbors(u))
+
+    assert G.reduced_vertices() == [
+        g.vids[u] for u in range(g.n) if not simplicial(u)]
+    full = build_graph(G, include_center=True)
+    assert list(G.center()) == [
+        full.vids[u] for u in range(full.n) if full.degree(u) == full.n - 1]
+
+
 def test_reduced_vertex_encodings():
     r = build_reduced(build("sym:4"))
     encs = {r.render_vertex(u) for u in range(r.n)}
@@ -124,18 +153,28 @@ def test_collapse_twins_triangle():
     g = _graph(3, [(0, 1), (1, 2), (0, 2)])
     c = collapse_twins(g)
     assert c.n == 1
-    assert c.collapsed
-    assert c.report["twin_classes"] == [3]
+    assert [len(cl) for cl in twin_classes(g.rows, 0b111)] == [3]
 
 
 def test_collapse_twins_mixed_passes():
-    # 0-1 and 2-3 are open twins (same neighbors, non-adjacent);
-    # the collapse then leaves a path
+    # this is K_{3,2}: 0, 1 and 4 share the open neighbourhood {2, 3}, and
+    # 2, 3 share {0, 1, 4}; the open minima 0 and 2 are then adjacent
+    # closed twins, so the whole graph is one class
     g = _graph(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
-    c = collapse_twins(g)
-    assert c.n < g.n
-    assert sum(c.report["twin_classes"]) == g.n
-    assert c.report["open_merges"] + c.report["closed_merges"] == g.n - c.n
+    assert twin_classes(g.rows, (1 << g.n) - 1) == [[0, 1, 2, 3, 4]]
+    assert collapse_twins(g).n == 1
+
+
+def test_twin_classes_close_among_open_minima():
+    # 0 and 1 are open twins and 2 is adjacent to both; 0 and 2 have equal
+    # closed neighbourhoods only once 1 is folded into 0, so the closed pass
+    # must run among the open minima; classes are ordered by smallest member
+    g = _graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (3, 4)])
+    assert twin_classes(g.rows, (1 << g.n) - 1) == [[0, 1, 2], [3], [4]]
+    # only the vertices of alive count, as prune needs: on 0, 1, 3 the
+    # graph is the path 0-3-1, whose ends are open twins and whose middle
+    # is then a closed twin of 0
+    assert twin_classes(g.rows, 0b01011) == [[0, 1, 3]]
 
 
 def test_collapse_preserves_perfection_verdict():

@@ -92,12 +92,6 @@ def test_analyze_include_center_variant():
     assert r.match is True
 
 
-def test_analyze_without_collapse():
-    r = analyze("sl:3:2", collapse=False)
-    assert r.outcome == "Berge"
-    assert r.collapsed_n == r.reduced_n == 21
-
-
 def test_analyze_unknown_on_tiny_budget():
     r = analyze("sym:6", budget=1)
     assert r.outcome == "Unknown"
@@ -157,8 +151,9 @@ def test_analyze_keys_report_on_given_spec():
 
 
 def test_cached_witness_is_rechecked_from_elements():
-    # alt:6's collapsed graph less one edge holds an odd hole; the cached
-    # path must not turn that into a NotPerfect verdict
+    # alt:6's collapsed graph less one edge holds an odd hole; even with the
+    # group and vertex ids attached, as a cache load attaches them, the
+    # cached path must not turn that into a NotPerfect verdict
     G = build("alt:6")
     g = collapse_twins(build_reduced(G))
     u, v = next(g.edges())
@@ -166,25 +161,11 @@ def test_cached_witness_is_rechecked_from_elements():
     rows[u] &= ~(1 << v)
     rows[v] &= ~(1 << u)
     cached = classify.CachedGraph(
-        graph=CommGraph(g.n, rows),
+        graph=CommGraph(g.n, rows, spec=g.spec, vids=g.vids, group=G),
         reduced_n=len(G.reduced_vertices()),
-        encodings=tuple(g.render_vertex(w) for w in range(g.n)),
     )
     with pytest.raises(PcgError, match="re-verification"):
         analyze("alt:6", cached=cached)
-
-
-def test_malformed_cached_encoding_fails_re_verification():
-    # a digest-valid cache table can still hold an encoding that names no
-    # permutation; that is a re-verification failure, not a ValueError
-    g = collapse_twins(build_reduced(build("sym:5")))
-    cached = classify.CachedGraph(
-        graph=g,
-        reduced_n=len(build("sym:5").reduced_vertices()),
-        encodings=("perm:1,x,3,4,5",) * g.n,
-    )
-    with pytest.raises(PcgError, match="re-verification"):
-        analyze("sym:5", cached=cached)
 
 
 def test_ac_rows_certify_as_clique_unions():

@@ -7,7 +7,13 @@ import re
 import pytest
 
 from pcg import cli
-from pcg.cg import build_reduced, read_dimacs, read_dimacs_file, to_dimacs
+from pcg.cg import (
+    build_reduced,
+    collapse_twins,
+    read_dimacs,
+    read_dimacs_file,
+    to_dimacs,
+)
 from pcg.cli import (
     Certificate,
     certificate_tuple,
@@ -171,6 +177,11 @@ def test_main_analyze_cache_roundtrip(tmp_path, capsys):
     strip = lambda s: [l for l in s.splitlines() if not l.startswith("seconds")]
     assert strip(out1) == strip(out2)
     assert "certificate grid" in out1
+    # a cached graph is the same record a fresh one is
+    fresh = collapse_twins(build_reduced(build("sl:3:2")))
+    warm = cli._load_or_build_cached(d, "sl:3:2").graph
+    assert (warm.rows, warm.vids, warm.spec) == (fresh.rows, fresh.vids, fresh.spec)
+    assert warm.group is fresh.group
 
 
 def test_main_analyze_cache_recovers_from_corruption(tmp_path, capsys):
@@ -267,11 +278,14 @@ def test_main_analyze_cache_rebuilds_reduced_file(tmp_path, capsys, tamper):
 
 
 def test_main_analyze_cache_with_non_integer_matrix_code(tmp_path, capsys):
-    # an encoding table that grid labels cannot read leaves the search to decide
+    # an encoding that does not parse names no element of the group, so
+    # the file is rebuilt instead of leaving the search to decide
     d = str(tmp_path / "cache")
     main(["analyze", "sl:3:2", "--cache-dir", d])
     capsys.readouterr()
     path = cli._cache_path(d, "sl:3:2", False, True, True)
+    with open(path, "rb") as fh:
+        good = fh.read()
     with open(path, encoding="utf-8") as fh:
         body = fh.read().split("\n", 3)[3]
     bad = re.sub(r"^(c v 0 mat:2:3:)\d+", r"\1x", body, flags=re.M)
@@ -281,6 +295,42 @@ def test_main_analyze_cache_with_non_integer_matrix_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "match yes" in out
+    with open(path, "rb") as fh:
+        assert fh.read() == good
+
+
+@pytest.mark.parametrize("entry", [
+    "odd permutation", "malformed code", "repeated element",
+])
+def test_main_analyze_cache_rebuilds_foreign_table(tmp_path, capsys, entry):
+    # a digest-valid collapsed file whose vertex table names something that
+    # is not an element of alt:6, or one element twice, is rebuilt to the
+    # cold bytes and gives the cold report; the stored rows alone would
+    # still give verdict Perfect and match yes, so the bytes are the check
+    d = str(tmp_path / "cache")
+    main(["analyze", "alt:6", "--cache-dir", d])
+    cold = capsys.readouterr().out
+    path = cli._cache_path(d, "alt:6", False, True, True)
+    with open(path, "rb") as fh:
+        good = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        body = fh.read().split("\n", 3)[3]
+    enc = {
+        "odd permutation": "perm:2,1,3,4,5,6",
+        "malformed code": "perm:1,x,3,4,5,6",
+        "repeated element": re.search(r"^c v 1 (\S+)$", body, re.M)[1],
+    }[entry]
+    bad = re.sub(r"^c v 0 \S+$", f"c v 0 {enc}", body, flags=re.M)
+    assert bad != body
+    _rewrite_cache_body(path, bad)
+    assert cli.read_cache(path)[1][0] == enc
+    rc = main(["analyze", "alt:6", "--cache-dir", d])
+    warm = capsys.readouterr().out
+    assert rc == 0
+    strip = lambda s: [l for l in s.splitlines() if not l.startswith("seconds")]
+    assert strip(warm) == strip(cold)
+    with open(path, "rb") as fh:
+        assert fh.read() == good
 
 
 def test_read_cache_checks_header(tmp_path):
@@ -310,6 +360,31 @@ def test_read_cache_checks_header(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"\xff" + text.encode())
     assert cli.read_cache(path) is None
+
+
+def test_read_cache_needs_leading_table(tmp_path):
+    # the vertex table is the body's leading block of `c v` lines, one per
+    # vertex in order; anything else is a corrupt file
+    path = cli._cache_path(str(tmp_path), "sym:4", False, True, False)
+    graph = build_reduced(build("sym:4"))
+    assert graph.n == 3
+    cli.write_cache(path, graph, "sym:4")
+    with open(path, encoding="utf-8") as fh:
+        body = fh.read().split("\n", 3)[3]
+    lines = body.splitlines(keepends=True)
+    table, rest = lines[:3], lines[3:]
+    assert all(line.startswith("c v ") for line in table)
+    for bad in (
+        table[1:] + rest,                       # a vertex missing
+        [table[1], table[0], table[2]] + rest,  # out of order
+        table[:2] + rest + table[2:],           # an entry below the graph
+    ):
+        _rewrite_cache_body(path, "".join(bad))
+        assert cli.read_cache(path) is None
+    _rewrite_cache_body(path, body)
+    got, encodings = cli.read_cache(path)
+    assert got == graph
+    assert encodings == tuple(graph.render_vertex(u) for u in range(3))
 
 
 def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
