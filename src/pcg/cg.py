@@ -32,6 +32,7 @@ from .grp import Group
 
 FULL_VERTEX_GUARD = 30_000
 REDUCED_VERTEX_GUARD = 100_000
+_SUB_BLOCK = 128  # rows compacted together by _subrows
 
 
 class CommGraph:
@@ -115,9 +116,27 @@ def _unpack(row: int, n: int):
 
 
 def _subrows(rows, n, keep):
-    """Rows of the induced subgraph on the sorted vertex list keep."""
-    sel = np.asarray(keep, dtype=np.int64)
-    return [_mask_to_bitset(_unpack(rows[u], n)[sel]) for u in keep]
+    """Rows of the induced subgraph on the sorted vertex list keep.
+
+    Kept rows are compacted _SUB_BLOCK at a time: one 2-D unpack, one
+    column select and one pack per block, so no n x n bit matrix is built.
+    The select pads each row to whole bytes with column n, which is past
+    every row's last bit and so always 0.
+    """
+    m = len(keep)
+    nb = n // 8 + 1
+    w = (m + 7) // 8
+    cols = np.full(8 * w, n, dtype=np.int64)
+    cols[:m] = keep
+    out = []
+    for s in range(0, m, _SUB_BLOCK):
+        part = keep[s:s + _SUB_BLOCK]
+        raw = np.frombuffer(b"".join(rows[u].to_bytes(nb, "little") for u in part),
+                            dtype=np.uint8).reshape(len(part), nb)
+        bits = np.take(np.unpackbits(raw, axis=1, bitorder="little"), cols, axis=1)
+        blob = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        out.extend(int.from_bytes(blob[i:i + w], "little") for i in range(0, len(blob), w))
+    return out
 
 
 def _adjacency(G: Group, vids) -> list[int]:

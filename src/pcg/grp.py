@@ -13,7 +13,13 @@ Groups are built by breadth-first closure in a fixed deterministic order
 a group from the same data yields an identical element table.  Bulk operations
 (closure, conjugation maps, commuting masks) go through one numpy kernel that
 every kind supports: elements become rows of 16-bit codes, rows multiply as
-arrays, and products turn back into encodings.
+arrays, and products turn back into encodings.  A product always has one
+fixed factor, so matrices over every field multiply by one table lookup: the
+table holds every length-n vector times the fixed matrix, and a vector is
+looked up by its base-q code, which is below q^n <= 2^16 and so fits uint16
+(MatKind).  Rows turn back into encodings through one uint8 buffer of tag and
+big-endian codes, read as one void item per row; a void dtype keeps the
+trailing zero bytes that an "S" dtype would strip.
 
 Group facts are read off the conjugacy classes.  The generator conjugation
 maps are the one pass of products over all of G; a central quotient projects
@@ -35,6 +41,7 @@ from .gf import Field, _is_prime
 
 DEFAULT_CAP = 2_000_000
 _CHUNK = 4096  # closure chunk size; part of the deterministic ordering
+_CODE_RANGE = 1 << 16  # vector codes of a matrix kind are uint16
 
 _STRUCTS: dict[int, struct.Struct] = {}
 
@@ -75,7 +82,7 @@ class Kind:
     Bulk work uses rows: to_array turns payloads into a 2-D uint16 array, one
     row per element, holding the big-endian 16-bit codes that follow the tag
     byte; from_array is its inverse and puts back the kind's tag; mul_arrays
-    multiplies a row or a block of rows by a row or a block of rows.
+    multiplies a row or a block of rows by one row, or one row by a block.
     """
 
     def identity(self) -> bytes:
@@ -97,14 +104,17 @@ class Kind:
 
     def to_array(self, payloads):
         m = len(payloads)
-        raw = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(m, -1)
+        width = len(payloads[0]) if m else len(self.identity())
+        raw = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(m, width)
         return np.ascontiguousarray(raw[:, 1:]).view(">u2").astype(np.uint16)
 
     def from_array(self, arr):
-        blob = arr.astype(">u2").tobytes()
-        step = 2 * arr.shape[1]
-        tag = self.tag
-        return [tag + blob[i:i + step] for i in range(0, len(blob), step)]
+        # one void item per row: an "S" dtype would strip trailing zero bytes
+        m, w = arr.shape
+        buf = np.empty((m, 1 + 2 * w), dtype=np.uint8)
+        buf[:, 0] = self.tag[0]
+        buf[:, 1:] = np.ascontiguousarray(arr, dtype=">u2").view(np.uint8)
+        return buf.view(f"V{1 + 2 * w}").ravel().tolist()
 
     def mul_arrays(self, A, B):
         raise NotImplementedError
@@ -175,13 +185,8 @@ class PermKind(Kind):
         return self.make(tuple(int(t) - 1 for t in s[5:].split(",")))
 
     def mul_arrays(self, A, B):
-        if A.ndim == 1 and B.ndim == 1:
-            return A[B]
-        if A.ndim == 2 and B.ndim == 1:
-            return A[:, B]
-        if A.ndim == 1 and B.ndim == 2:
-            return A[B]
-        return np.take_along_axis(A, B, axis=1)
+        # (a*b)(i) = a(b(i)): a's images indexed by b's
+        return A[..., B] if B.ndim == 1 else A[B]
 
     def __eq__(self, other):
         return isinstance(other, PermKind) and other.deg == self.deg
@@ -194,11 +199,25 @@ class PermKind(Kind):
 
 
 class MatKind(Kind):
-    """n x n matrices over a Field, row-major integer codes."""
+    """n x n matrices over a Field, row-major integer codes.
+
+    Bulk products go through a vector table.  A length-n vector over GF(q)
+    has the code sum v[k] q^(n-1-k) (its entries as big-endian base-q
+    digits), and for a fixed matrix M the table holds v M for every code,
+    built one digit at a time from the field's add and mul tables.  A block
+    times M is then one lookup of the codes of its rows' row vectors; M
+    times a block is the same lookup on its column vectors with the
+    transpose of M.  Codes are below q^n, which must fit the uint16 code
+    range (the guards keep q^n <= 4096), so codes, tables and products all
+    stay uint16, and the one path serves every field.
+    """
 
     tag = b"M"
 
     def __init__(self, field: Field, n: int):
+        if field.q**n > _CODE_RANGE:
+            raise ConstructionError(
+                f"GF({field.q})^{n} has more vectors than uint16 codes")
         self.field = field
         self.n = n
         self._s = _st(n * n)
@@ -238,25 +257,35 @@ class MatKind(Kind):
             raise PcgError(f"mat encoding {s!r} does not match GF({self.field.q})^{self.n}")
         return self.make(tuple(int(t) for t in parts[3].split(",")))
 
-    def mul_arrays(self, A, B):
-        f = self.field
+    def _table(self, M):
+        """T[c] = v M for the vector v with code c, M an n x n array."""
         n = self.n
-        A = A.reshape(A.shape[:-1] + (n, n))
-        B = B.reshape(B.shape[:-1] + (n, n))
-        if f.k == 1:
-            C = (A.astype(np.int64) @ B.astype(np.int64)) % f.p
-        else:
-            # C = sum over j of A[:, j] B[j, :], one n x n slice at a time;
-            # characteristic 2 adds by xor in place
-            MT, AT = f.np_tables()
-            C = MT[A[..., :, 0, None], B[..., None, 0, :]]
-            for j in range(1, n):
-                T = MT[A[..., :, j, None], B[..., None, j, :]]
-                if f.p == 2:
-                    C ^= T
-                else:
-                    C = AT[C, T]
-        return C.reshape(C.shape[:-2] + (n * n,)).astype(np.uint16, copy=False)
+        MT, AT = self.field.np_tables()
+        T = np.zeros((1, n), dtype=np.uint16)
+        for k in range(n):
+            # codes c*q + d: every vector so far, extended by the digit d
+            T = AT[T[:, None, :], MT[:, M[k]]].reshape(-1, n)
+        return T
+
+    def _codes(self, X):
+        """Codes of the row vectors X[..., i, :], by Horner's rule."""
+        q = np.uint16(self.field.q)
+        c = X[..., 0].astype(np.uint16)
+        for k in range(1, self.n):
+            c *= q
+            c += X[..., k]
+        return c
+
+    def mul_arrays(self, A, B):
+        # one side is a single matrix; the other is a row or a block of rows
+        n = self.n
+        if B.ndim == 1:
+            X = A.reshape(A.shape[:-1] + (n, n))
+            return self._table(B.reshape(n, n))[self._codes(X)].reshape(A.shape)
+        # A B is the transpose of B^T A^T: look up B's columns in A^T's table
+        X = B.reshape(B.shape[:-1] + (n, n)).swapaxes(-1, -2)
+        C = self._table(A.reshape(n, n).T)[self._codes(X)]
+        return C.swapaxes(-1, -2).reshape(B.shape)
 
     def __eq__(self, other):
         return (
@@ -327,9 +356,16 @@ class SemiKind(Kind):
         return self.make(self.base.parse_render(mat), int(jtxt))
 
     def mul_arrays(self, A, B):
-        i = A[..., :1]
-        C = self.base.mul_arrays(A[..., 1:], self._frob[i, B[..., 1:]])
-        return np.concatenate([(i + B[..., :1]) % self.period, C], axis=-1)
+        j = (A[..., :1] + B[..., :1]) % self.period
+        if A.ndim == 1:
+            C = self.base.mul_arrays(A[1:], self._frob[A[0], B[..., 1:]])
+        else:
+            # rows with one Frobenius power i all meet the one matrix phi^i(B)
+            C = np.empty_like(A[:, 1:])
+            for i in range(self.period):
+                rows = A[:, 0] == i
+                C[rows] = self.base.mul_arrays(A[rows, 1:], self._frob[i, B[1:]])
+        return np.concatenate([j, C], axis=-1)
 
     def __eq__(self, other):
         return isinstance(other, SemiKind) and other.base == self.base
@@ -692,9 +728,18 @@ class Group:
         return i
 
     def mul_idx(self, i: int, j: int) -> int:
+        if self.parent is not None:
+            # a coset's payload is "C" and a parent element's payload, so one
+            # product in the parent and proj give the coset of the product
+            base = self.kind.base
+            return int(self.proj[self.parent.index[
+                base.mul(self.elems[i][1:], self.elems[j][1:])]])
         return self.index[self.kind.mul(self.elems[i], self.elems[j])]
 
     def inv_idx(self, i: int) -> int:
+        if self.parent is not None:
+            base = self.kind.base
+            return int(self.proj[self.parent.index[base.inv(self.elems[i][1:])]])
         return self.index[self.kind.inv(self.elems[i])]
 
     def arr(self):
@@ -765,7 +810,7 @@ class Group:
                 for g in self.gens:
                     rows = k.to_array([g, k.inv(g)])
                     conj = k.mul_arrays(rows[1], k.mul_arrays(self.arr(), rows[0]))
-                    maps.append(np.fromiter((index[p] for p in k.from_array(conj)),
+                    maps.append(np.fromiter(map(index.__getitem__, k.from_array(conj)),
                                             dtype=np.int32, count=n))
             self._conj = maps
         return self._conj

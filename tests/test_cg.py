@@ -214,6 +214,25 @@ def test_induced_subgraph():
     assert h.adjacent(0, 1) and h.adjacent(1, 2) and not h.adjacent(0, 2)
 
 
+def _subrows_one_by_one(g, keep):
+    # each kept row unpacked, selected and packed on its own
+    out = []
+    for u in keep:
+        bits = [(g.rows[u] >> v) & 1 for v in keep]
+        out.append(sum(b << i for i, b in enumerate(bits)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 8, 130, 300])
+def test_induced_rows_match_row_by_row_selection(n):
+    # blocks of 128 rows; n = 8 has no spare bit in its last byte
+    rng = random.Random(n)
+    g = _random_graph(rng, n)
+    for keep in [list(range(n)), sorted(rng.sample(range(n), n // 2)),
+                 [n - 1], []]:
+        assert induced(g, keep).rows == _subrows_one_by_one(g, keep)
+
+
 def test_dimacs_roundtrip():
     rng = random.Random(5150)
     g = _random_graph(rng, 9)

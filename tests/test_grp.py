@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcg.errors import CapError, ConstructionError, PcgError
-from pcg.gf import ff_make
+from pcg.gf import ff_make, field_of_size
 from pcg.grp import (
     CosetKind,
     Element,
@@ -229,6 +229,90 @@ def test_array_rows_roundtrip(spec, kind):
     rows = G.kind.to_array(G.elems)
     assert rows.dtype == np.uint16 and rows.shape[0] == len(G)
     assert G.kind.from_array(rows) == G.elems
+
+
+# every (q, n) of a matrix kind built by a spec within the guards: sl:2, gl:2
+# and aut-sl2-8; sl:3, su:3 (over GF(q^2)) and 3a6; sp:4 and sz:8
+_GUARD_FIELDS = (
+    [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)]
+    + [(q, 3) for q in (2, 3, 4, 5, 9, 16)]
+    + [(q, 4) for q in (2, 3, 8)]
+)
+
+
+def _random_mats(mk, rng, count):
+    # random rows, singular or not; the last entry of the first is 0, so its
+    # payload ends in zero bytes
+    q, nn = mk.field.q, mk.n * mk.n
+    flats = [[rng.randrange(q) for _ in range(nn)] for _ in range(count)]
+    flats[0][-1] = 0
+    return [mk.make(f) for f in flats]
+
+
+@pytest.mark.parametrize("q, n", _GUARD_FIELDS)
+def test_mat_kernel_matches_scalar_products(q, n):
+    mk = MatKind(field_of_size(q), n)
+    rng = random.Random(q * 10 + n)
+    block = _random_mats(mk, rng, 24)
+    arr = mk.to_array(block)
+    for v in block[:3] + _random_mats(mk, rng, 2):
+        V = mk.to_array([v])[0]
+        assert mk.from_array(mk.mul_arrays(arr, V)) == [mk.mul(x, v) for x in block]
+        assert mk.from_array(mk.mul_arrays(V, arr)) == [mk.mul(v, x) for x in block]
+        for x, X in zip(block[:4], arr):
+            assert mk.from_array(mk.mul_arrays(X, V)[None]) == [mk.mul(x, v)]
+
+
+@pytest.mark.parametrize("q, n", _GUARD_FIELDS)
+def test_semi_kernel_matches_scalar_products(q, n):
+    mk = MatKind(field_of_size(q), n)
+    sk = SemiKind(mk)
+    rng = random.Random(q * 10 + n)
+    block = [sk.make(m, rng.randrange(sk.period)) for m in _random_mats(mk, rng, 24)]
+    arr = sk.to_array(block)
+    for i in range(sk.period):
+        for m in _random_mats(mk, rng, 2):
+            v = sk.make(m, i)
+            V = sk.to_array([v])[0]
+            assert sk.from_array(sk.mul_arrays(arr, V)) == [sk.mul(x, v) for x in block]
+            assert sk.from_array(sk.mul_arrays(V, arr)) == [sk.mul(v, x) for x in block]
+
+
+@pytest.mark.parametrize("q, n", _GUARD_FIELDS)
+def test_array_rows_roundtrip_trailing_zeros_and_empty(q, n):
+    mk = MatKind(field_of_size(q), n)
+    zero = mk.make([0] * (n * n))
+    block = [zero, mk.identity()] + _random_mats(mk, random.Random(q), 4)
+    assert block[0].endswith(b"\0\0") and block[2].endswith(b"\0\0")
+    assert mk.from_array(mk.to_array(block)) == block
+    sk = SemiKind(mk)
+    semi = [sk.make(m, 0) for m in block]
+    assert sk.from_array(sk.to_array(semi)) == semi
+    empty = mk.to_array([])
+    assert empty.shape == (0, n * n) and empty.dtype == np.uint16
+    assert mk.from_array(empty) == []
+    assert sk.from_array(sk.to_array([])) == []
+
+
+def test_mat_kind_needs_uint16_vector_codes():
+    assert MatKind(field_of_size(16), 4).n == 4  # 16^4 = 2^16 codes fit
+    with pytest.raises(ConstructionError):
+        MatKind(field_of_size(17), 4)
+    with pytest.raises(ConstructionError):
+        MatKind(field_of_size(2), 17)
+
+
+@pytest.mark.parametrize("spec", ["psl:3:4", "psu:3:3", "cq(3a6)", "pgl:2:9"])
+def test_quotient_index_products_match_coset_products(spec):
+    # mul_idx and inv_idx go through the parent; CosetKind.mul canonicalizes
+    Q = build(spec)
+    assert Q.parent is not None
+    k = Q.kind
+    rng = random.Random(7)
+    for _ in range(60):
+        i, j = rng.randrange(len(Q)), rng.randrange(len(Q))
+        assert Q.mul_idx(i, j) == Q.index[k.mul(Q.elems[i], Q.elems[j])]
+        assert Q.inv_idx(i) == Q.index[k.inv(Q.elems[i])]
 
 
 def test_central_quotient_of_small_group_matches_make():
