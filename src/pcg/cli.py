@@ -3,10 +3,10 @@
 Certificates are five-line UTF-8 files that name a group, a pattern kind,
 and the ordered element encodings of the pattern's vertices; they parse
 back and re-verify inside the reduced graph of the freshly built group.
-Graph caching stores DIMACS plus a vertex encoding table under a SHA-256
-digest, one file per (spec, include-center, reduced, collapsed)
-combination, written atomically; the PCG_CACHE_DIR environment variable
-supplies a default cache directory.
+Graph caching stores two files per spec, the reduced and the collapsed graph
+of the reduced pipeline, each as DIMACS plus a vertex encoding table under a
+SHA-256 digest, written atomically; analyze --include-center skips the cache.
+The PCG_CACHE_DIR environment variable supplies a default cache directory.
 """
 
 from __future__ import annotations

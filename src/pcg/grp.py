@@ -24,9 +24,11 @@ trailing zero bytes that an "S" dtype would strip.
 Group facts are read off the conjugacy classes.  The generator conjugation
 maps are the one pass of products over all of G; a central quotient projects
 its parent's maps instead of multiplying.  The classes are the orbits of the
-maps, the centre is the union of the singleton classes, and reduced_vertices
+maps and the centre is the union of the singleton classes.  reduced_vertices
 infers centralizer abelianness along power maps and central translates,
-building a centralizer mask only for the classes it leaves undecided.
+building a centralizer mask only for the classes it leaves undecided, and
+is_quasisimple takes one normal closure per class with central p-th powers,
+stopped once the classes it meets hold more than |G|/2 elements.
 """
 
 from __future__ import annotations
@@ -602,13 +604,13 @@ class Element:
 # closure enumeration
 
 
-def _extend_closure(kind: Kind, elems, index, gens, new, cap: int) -> None:
+def _extend_closure(kind: Kind, elems, index, gens, new, stop) -> None:
     """Grow elems, which holds the identity and is closed under right
     multiplication by gens, until it is closed under gens + new as well.
 
     Elements already present are multiplied by new only, the elements this
-    adds by every generator.  elems and index grow in place; CapError past
-    cap elements.
+    adds by every generator.  elems and index grow in place; CapError when
+    stop(p) holds for a new element p, before p is added.
     """
     done = len(elems)
     every = list(gens) + list(new)
@@ -621,18 +623,18 @@ def _extend_closure(kind: Kind, elems, index, gens, new, cap: int) -> None:
         for g in new if old else every:
             for p in kind.mul_all(chunk, g, arr=arr):
                 if p not in index:
-                    if len(elems) >= cap:
-                        raise CapError(f"closure exceeded cap {cap}")
+                    if stop(p):
+                        raise CapError(f"closure stopped at {len(elems)} elements")
                     index[p] = len(elems)
                     elems.append(p)
 
 
 def _mulclose(kind: Kind, gens, cap: int):
-    """BFS closure of generator payloads; returns (elems, index)."""
+    """BFS closure of generator payloads; returns (elems, index), CapError past cap."""
     idp = kind.identity()
     elems = [idp]
     index = {idp: 0}
-    _extend_closure(kind, elems, index, [], gens, cap)
+    _extend_closure(kind, elems, index, [], gens, lambda p: len(elems) >= cap)
     return elems, index
 
 
@@ -701,7 +703,7 @@ class Group:
         self._conj = None
         self._reduced = None
         self._perfect = None
-        self._simple = None
+        self._quasisimple = None
         self._fullq = None
 
     def __len__(self) -> int:
@@ -837,13 +839,13 @@ class Group:
             self._classes = [c.tolist() for c in np.split(order, cuts)]
             rank = np.empty(n, dtype=np.int32)
             rank[lab[order[np.r_[0, cuts]]]] = np.arange(len(self._classes))
-            self._class_of = rank[lab]
+            self._class_of = rank[lab].tolist()
             self._class_orders = [None] * len(self._classes)
         return self._classes
 
     def class_of(self, i: int) -> int:
         self.conjugacy_classes()
-        return int(self._class_of[i])
+        return self._class_of[i]
 
     def class_order(self, ci: int) -> int:
         self.conjugacy_classes()
@@ -854,6 +856,12 @@ class Group:
 
     def element_order(self, i: int) -> int:
         return self.class_order(self.class_of(i))
+
+    def _power_classes(self, ci: int) -> list[int]:
+        """Classes of x^p for x in class ci and each prime p dividing o(x)."""
+        x, o = self.elems[self.conjugacy_classes()[ci][0]], self.class_order(ci)
+        return [self.class_of(self.index[_power(self.kind, x, p)])
+                for p in range(2, o + 1) if o % p == 0 and _is_prime(p)]
 
     # -- reduction support ---------------------------------------------------
 
@@ -881,11 +889,7 @@ class Group:
             down = {c: [] for c in noncentral}
             for c in noncentral:
                 x = self.elems[classes[c][0]]
-                o = self.class_order(c)
-                powers = [_power(k, x, p) for p in range(2, o + 1)
-                          if o % p == 0 and _is_prime(p)]
-                for y in powers:
-                    d = self.class_of(self.index[y])
+                for d in self._power_classes(c):
                     if d in up:
                         up[c].append(d)
                         down[d].append(c)
@@ -923,72 +927,54 @@ class Group:
     # -- normal structure ----------------------------------------------------
 
     def _normal_closure_size(self, seeds) -> int:
-        """Order of the normal closure of the seed payloads.
+        """Order of the normal closure N of the seed payloads.
 
-        Each round extends the subgroup found so far by the conjugates, under
-        the generators, of the seeds added last that it does not yet hold.
-        A subgroup with more than |G|/2 elements is G itself (Lagrange), so
-        the closure stops there and the answer is then |G|.
+        Seeds join the subgroup found so far one at a time, each only if it is
+        not there yet, so each at least doubles it; each queues its conjugates,
+        read off the conjugation maps, and N is reached when the queue is
+        empty.  N is a union of classes, so once the classes met hold more
+        than |G|/2 elements, N is G (Lagrange): the closure stops, giving |G|.
         """
-        k = self.kind
+        k, n, index = self.kind, len(self), self.index
+        unmet = [0] + [len(c) for c in self.conjugacy_classes()[1:]]
+        of = self._class_of
+        left = n // 2 - 1  # the identity's class is met from the start
+
+        def heavy(p):
+            nonlocal left
+            c = of[index[p]]
+            left -= unmet[c]
+            unmet[c] = 0
+            return left < 0
+
         idp = k.identity()
-        elems, index = [idp], {idp: 0}
+        elems, found = [idp], {idp: 0}
         gens: list[bytes] = []
-        new = sorted(set(seeds) - {idp})
-        conj = [(k.inv(g), g) for g in self.gens]
+        todo = sorted(set(seeds) - {idp}, reverse=True)
+        maps = self.conjugation_maps()
         try:
-            while new:
-                _extend_closure(k, elems, index, gens, new, len(self) // 2)
-                gens += new
-                new = sorted({k.mul(k.mul(gi, s), g) for s in new for gi, g in conj}
-                             - index.keys())
+            while todo:
+                s = todo.pop()
+                if s in found:
+                    continue
+                _extend_closure(k, elems, found, gens, [s], heavy)
+                gens.append(s)
+                todo.extend(self.elems[int(m[index[s]])] for m in maps)
         except CapError:
-            return len(self)
+            return n
         return len(elems)
 
     def is_perfect_group(self) -> bool:
         """True when the normal closure of generator commutators is everything."""
         if self._perfect is None:
             k = self.kind
-            seeds = set()
-            for a in self.gens:
-                ia = k.inv(a)
-                for b in self.gens:
-                    seeds.add(k.mul(k.mul(ia, k.inv(b)), k.mul(a, b)))
+            seeds = {k.mul(k.mul(k.inv(a), k.inv(b)), k.mul(a, b))
+                     for a in self.gens for b in self.gens}
             self._perfect = self._normal_closure_size(seeds) == len(self)
         return self._perfect
 
     def is_simple(self) -> bool:
-        if self._simple is None:
-            self._simple = self._compute_simple()
-        return self._simple
-
-    def _compute_simple(self) -> bool:
-        n = len(self)
-        if n == 1:
-            return False
-        if _is_prime(n):
-            return True
-        if len(self.center()) > 1:
-            return False
-        classes = self.conjugacy_classes()
-        # a normal subgroup is a union of classes (with the identity) whose
-        # total size divides |G|; if no such sum exists, G is simple
-        reachable = 1
-        for cls in classes[1:]:
-            reachable |= reachable << len(cls)
-        candidates = [
-            d for d in range(2, n) if n % d == 0 and (reachable >> (d - 1)) & 1
-        ]
-        if not candidates:
-            return True
-        # a proper normal subgroup N > 1 holds an element of prime order (a
-        # power of any x in N), so only those classes need their closure
-        for ci, cls in enumerate(classes[1:], 1):
-            if (_is_prime(self.class_order(ci))
-                    and self._normal_closure_size([self.elems[cls[0]]]) < n):
-                return False
-        return True
+        return _is_prime(len(self)) or (len(self.center()) == 1 and self.is_quasisimple())
 
     def full_central_quotient(self) -> "Group":
         if self._fullq is None:
@@ -996,12 +982,23 @@ class Group:
         return self._fullq
 
     def is_quasisimple(self) -> bool:
-        """Perfect with simple central quotient."""
-        if not self.is_perfect_group():
-            return False
-        if len(self.center()) == 1:
-            return self.is_simple()
-        return self.full_central_quotient().is_simple()
+        """Perfect with simple central quotient, read off G's own classes.
+
+        G is quasisimple exactly when it is non-abelian and <x^G> = G for each
+        non-central x (one per class) with x^p central for a prime p.  Every
+        normal N not inside Z = Z(G) holds such an x: the last non-central
+        term of y, y^p, y^pq, ... for a non-central y in N.  So each such N is
+        G, G/Z is simple, and G' = G, as G' inside Z would put x^G in xZ and
+        make <x^G> abelian.  Conversely, if G/Z is simple and x non-central,
+        <x^G>Z = G, so G/<x^G> is abelian and <x^G> holds G' = G.
+        """
+        if self._quasisimple is None:
+            classes = self.conjugacy_classes()
+            self._quasisimple = not self.is_abelian() and all(
+                self._normal_closure_size([self.elems[cls[0]]]) == len(self)
+                for c, cls in enumerate(classes)
+                if len(cls) > 1 and any(len(classes[d]) == 1 for d in self._power_classes(c)))
+        return self._quasisimple
 
 
 # ---------------------------------------------------------------------------

@@ -436,12 +436,63 @@ def test_normal_closure_stops_at_half_the_order():
     ("psu:3:3", True, True, True),
     ("3a6", True, False, True),
     ("gl:2:3", False, False, False),
+    # Q8 holds no non-central element of prime order, so a rule that closes
+    # only prime-order classes would call SL(2,3) quasisimple
+    ("sl:2:3", False, False, False),
+    ("prod(alt:5,sym:2)", False, False, False),  # G/Z simple, G not perfect
+    ("cq(sl:2:5)", True, True, True),
+    ("prod(alt:5,alt:5)", True, False, False),
+    ("alt:4", False, False, False),
 ])
 def test_group_predicates(spec, perfect, simple, quasisimple):
     G = build(spec)
     assert G.is_perfect_group() == perfect
     assert G.is_simple() == simple
     assert G.is_quasisimple() == quasisimple
+
+
+def _index_closure(table, seeds):
+    # the subgroup generated by seeds: every product, to a fixed point
+    got = {0} | set(seeds)
+    edge = list(got)
+    while edge:
+        edge = [p for p in {table[a][b] for a in edge for b in got} if p not in got]
+        got.update(edge)
+    return got
+
+
+@pytest.mark.parametrize("spec", [
+    "alt:4", "sym:4", "sl:2:3", "gl:2:3", "alt:5", "cq(sl:2:5)", "sym:5",
+    "sl:2:5", "prod(alt:5,sym:2)", "sl:3:2",
+])
+def test_group_predicates_match_definitions(spec):
+    # perfect: the commutators generate G; simple: every x != 1 has normal
+    # closure G; quasisimple: perfect and, for every non-central x,
+    # <x^G>Z = G, so G/Z is simple; all from the Cayley table
+    G = build(spec)
+    n = len(G)
+    table = [[G.mul_idx(i, j) for j in range(n)] for i in range(n)]
+    inv = [row.index(0) for row in table]
+    center = [z for z in range(n) if all(table[z][g] == table[g][z] for g in range(n))]
+
+    def closure_of_class(x, extra=()):
+        return _index_closure(table, {table[table[inv[g]][x]][g] for g in range(n)} | set(extra))
+
+    perfect = len(_index_closure(table, {table[table[inv[a]][inv[b]]][table[a][b]]
+                                         for a in range(n) for b in range(n)})) == n
+    simple = n > 1 and all(len(closure_of_class(x)) == n for x in range(1, n))
+    quasisimple = perfect and len(center) < n and all(
+        len(closure_of_class(x, center)) == n for x in range(n) if x not in center)
+    assert (G.is_perfect_group(), G.is_simple(), G.is_quasisimple()) == (
+        perfect, simple, quasisimple)
+
+
+def test_quasisimplicity_builds_no_quotient():
+    for spec in ("sl:2:5", "3a6"):
+        B = build(spec)
+        G = Group(B.kind, B.elems, B.gens)
+        assert G.is_quasisimple()
+        assert G._fullq is None and G._perfect is None
 
 
 def test_central_quotient():
