@@ -19,8 +19,9 @@ Adjacency rows are arbitrary-width python-int bitsets; vertex order follows
 group element order, so rebuilding a graph from the same spec reproduces it
 bit for bit.  Both vertex sets are unions of conjugacy classes, and
 conjugation is a graph automorphism: one commuting mask is computed per
-class and every other row of the class is that row transported along the
-generator conjugation maps.
+class, giving its first vertex's neighbour index array, and every other
+vertex's array is that array transported along the generator conjugation
+maps, one gather per vertex.  Each row is packed once from its array.
 """
 
 from __future__ import annotations
@@ -110,11 +111,6 @@ def _mask_to_bitset(mask) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _unpack(row: int, n: int):
-    raw = np.frombuffer(row.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n]
-
-
 def _subrows(rows, n, keep):
     """Rows of the induced subgraph on the sorted vertex list keep.
 
@@ -142,10 +138,11 @@ def _subrows(rows, n, keep):
 def _adjacency(G: Group, vids) -> list[int]:
     """Rows on vids, which must be a union of conjugacy classes.
 
-    One commute_mask per class; every other row of the class is transported
-    along the generator conjugation maps, since y commutes with x exactly
-    when y^g commutes with x^g.  Rows are packed as they are made and
-    unpacked once each when the walk leaves them.
+    One commute_mask per class gives its first vertex's neighbour index
+    array; every other vertex of the class gets its array by one gather
+    along a generator conjugation map, since y commutes with x exactly when
+    y^g commutes with x^g.  A gathered array is unsorted, which is fine
+    since a row is a set; each row is packed once from its array.
     """
     m = len(vids)
     sel = np.asarray(vids, dtype=np.int64)
@@ -156,25 +153,29 @@ def _adjacency(G: Group, vids) -> list[int]:
     if any((p < 0).any() for p in perms):
         raise PcgError("adjacency needs a vertex set closed under conjugation")
     payloads, arr = G.block(vids)
-    rows: list[int | None] = [None] * m
+    nbrs: list[np.ndarray | None] = [None] * m
     for cls in G.conjugacy_classes():
         start = int(where[cls[0]])
         if start < 0:
             continue
         mask = G.kind.commute_mask(payloads, payloads[start], arr=arr)
         mask[start] = False
-        rows[start] = _mask_to_bitset(mask)
+        nbrs[start] = np.flatnonzero(mask)
         stack = [start]
         while stack:
             u = stack.pop()
-            row = _unpack(rows[u], m)
             for perm in perms:
                 v = int(perm[u])
-                if rows[v] is None:
-                    moved = np.empty(m, dtype=bool)
-                    moved[perm] = row
-                    rows[v] = _mask_to_bitset(moved)
+                if nbrs[v] is None:
+                    nbrs[v] = perm[nbrs[u]]
                     stack.append(v)
+    mask = np.zeros(m, dtype=bool)
+    rows = []
+    for u in range(m):
+        mask[nbrs[u]] = True
+        rows.append(_mask_to_bitset(mask))
+        mask[nbrs[u]] = False
+        nbrs[u] = None  # released as its row is packed
     return rows
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import os
 import re
 import sys
@@ -179,9 +178,10 @@ def write_cache(path: str, graph: cg.CommGraph, spec: str) -> tuple[str, ...]:
 
 
 def _cache_names(spec: str) -> set[str]:
-    """File names _cache_path gives the spec's graphs, in any variant."""
-    return {_cache_path("", spec, *flags)
-            for flags in itertools.product((False, True), repeat=3)}
+    """File names of the two graphs _load_or_build_cached writes for the
+    spec: the reduced graph and its twin collapse."""
+    return {_cache_path("", spec, False, True, collapsed)
+            for collapsed in (False, True)}
 
 
 def _cache_body(path: str) -> str | None:

@@ -1,6 +1,5 @@
 """Berge testing: odd-hole and odd-antihole search, structural perfection
-certificates, exact clique and chromatic solvers, and a brute-force
-perfection oracle for cross-validation.
+certificates, and a brute-force perfection oracle for cross-validation.
 
 A graph is perfect exactly when it is Berge (no induced odd cycle of length
 at least five in the graph or its complement), so every verdict here is
@@ -26,8 +25,6 @@ from .cg import CommGraph, _bits, complement, induced, twin_classes
 from .errors import CertificateError, GuardError, PcgError
 
 DEFAULT_BUDGET = 10**8
-CLIQUE_GUARD = 2000
-CHROMATIC_GUARD = 200
 BRUTEFORCE_GUARD = 14
 
 
@@ -416,70 +413,12 @@ def is_berge(g: CommGraph, budget: int = DEFAULT_BUDGET,
 
 
 # ---------------------------------------------------------------------------
-# exact solvers
-
-
-def clique_number(g: CommGraph) -> int:
-    if g.n > CLIQUE_GUARD:
-        raise GuardError(f"clique_number guarded at {CLIQUE_GUARD} vertices")
-    if g.n == 0:
-        return 0
-    rows = g.rows
-    best = [1]
-
-    def expand(size: int, cand: int):
-        while cand:
-            if size + cand.bit_count() <= best[0]:
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            nxt = cand & rows[v]
-            if size + 1 > best[0]:
-                best[0] = size + 1
-            if nxt:
-                expand(size + 1, nxt)
-
-    # order start vertices by descending degree for earlier good bounds
-    order = sorted(range(g.n), key=lambda u: -rows[u].bit_count())
-    done = 0
-    for u in order:
-        expand(1, rows[u] & ~done)
-        done |= 1 << u
-    return best[0]
-
-
-def _greedy_coloring(rows, n, order):
-    colors = [-1] * n
-    used = 0
-    for u in order:
-        taken = {colors[v] for v in _bits(rows[u]) if colors[v] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[u] = c
-        used = max(used, c + 1)
-    return used
-
-
-def chromatic_number(g: CommGraph) -> int:
-    """Exact chromatic number: iterative deepening on k with DSATUR-ordered
-    backtracking, lower bound from the exact clique number."""
-    if g.n > CHROMATIC_GUARD:
-        raise GuardError(f"chromatic_number guarded at {CHROMATIC_GUARD} vertices")
-    n = g.n
-    if n == 0:
-        return 0
-    rows = g.rows
-    lo = clique_number(g)
-    hi = _greedy_coloring(rows, n, sorted(range(n), key=lambda u: -rows[u].bit_count()))
-    for k in range(lo, hi):
-        if _colorable(rows, n, k):
-            return k
-    return hi
+# brute-force oracle
 
 
 def _colorable(rows, n, k) -> bool:
+    """Whether the graph on rows has a proper k-colouring: DSATUR-ordered
+    backtracking that introduces new colours in order."""
     colors = [-1] * n
     forbid = [0] * n  # bitmask of colors ruled out per vertex
 

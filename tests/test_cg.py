@@ -94,6 +94,7 @@ def test_build_reduced():
     ("psl:2:5", "CosetKind", ("full",)),         # central quotient
     ("prod(sym:3,sym:3)", "PairKind", ("full", "reduced")),
     ("aut-sl2-8", "SemiKind", ("reduced",)),
+    ("psl:3:4", "CosetKind", ("reduced",)),      # 315 reduced vertices
 ])
 def test_transported_rows_match_commute_masks(spec, kind, variants):
     # one mask per conjugacy class, the rest transported by conjugation,

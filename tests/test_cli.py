@@ -362,6 +362,20 @@ def test_read_cache_checks_header(tmp_path):
     assert cli.read_cache(path) is None
 
 
+def test_read_cache_rejects_unwritten_variant_name(tmp_path):
+    # only the reduced graph and its collapse are ever cached, so a
+    # well-formed file under any other variant's name is not a cache file
+    d = str(tmp_path)
+    graph = build_reduced(build("sym:5"))
+    path = cli._cache_path(d, "sym:5", False, True, False)
+    cli.write_cache(path, graph, "sym:5")
+    other = cli._cache_path(d, "sym:5", True, True, False)
+    os.replace(path, other)
+    assert cli.read_cache(other) is None
+    os.replace(other, path)
+    assert cli.read_cache(path)[0] == graph
+
+
 def test_read_cache_needs_leading_table(tmp_path):
     # the vertex table is the body's leading block of `c v` lines, one per
     # vertex in order; anything else is a corrupt file

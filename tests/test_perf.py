@@ -1,4 +1,4 @@
-"""Berge recognition: hole/antihole search, certificates, exact solvers."""
+"""Berge recognition: hole/antihole search, certificates, brute-force oracle."""
 
 import random
 import time
@@ -10,8 +10,6 @@ from pcg.errors import CertificateError, GuardError, PcgError
 from pcg.named import build
 from pcg.perf import (
     Witness,
-    chromatic_number,
-    clique_number,
     find_odd_antihole,
     find_odd_hole,
     grid_certificate,
@@ -200,30 +198,12 @@ def test_find_result_step_accounting():
     assert not retry.complete
 
 
-def test_clique_number():
-    assert clique_number(_complete(4)) == 4
-    assert clique_number(_cycle(5)) == 2
-    assert clique_number(_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])) == 3
-    assert clique_number(_graph(3, [])) == 1
-    assert clique_number(_graph(0, [])) == 0
-
-
-def test_chromatic_number():
-    assert chromatic_number(_complete(4)) == 4
-    assert chromatic_number(_cycle(5)) == 3
-    assert chromatic_number(_cycle(6)) == 2
-    assert chromatic_number(_graph(3, [])) == 1
-    assert chromatic_number(_graph(0, [])) == 0
-
-
 def test_petersen_numbers():
     # outer 5-cycle, inner pentagram, spokes
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
     g = _graph(10, edges)
-    assert clique_number(g) == 2
-    assert chromatic_number(g) == 3
     assert not is_perfect_bruteforce(g)  # the outer 5-cycle is induced
     assert is_berge(g).outcome == "NotBerge"
 
