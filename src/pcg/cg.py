@@ -268,11 +268,6 @@ def to_dimacs(g: CommGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_dimacs(g: CommGraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(to_dimacs(g))
-
-
 def read_dimacs(text: str) -> CommGraph:
     n = m = None
     rows = None

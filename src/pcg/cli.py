@@ -351,10 +351,13 @@ def _make_witness(name: str, params: list[str]) -> wit.ElementTuple | None:
     if name == "ree3":
         return wit.witness_ree3()
     if name == "product":
-        specs = params or ["sym:3", "sym:3", "sym:3"]
-        K, L, M = (build(s) for s in specs[:3])
+        if len(params) not in (0, 3):
+            raise ArgumentError(f"product takes zero or three specs, got {len(params)}")
+        K, L, M = (build(s) for s in params or ["sym:3", "sym:3", "sym:3"])
         return wit.witness_product(K, L, M)
     if name == "chain-product":
+        if len(params) > 2:
+            raise ArgumentError(f"chain-product takes at most two specs, got {len(params)}")
         kspec = params[0] if len(params) > 0 else "alt:6"
         lspec = params[1] if len(params) > 1 else "sym:3"
         K = build(kspec)

@@ -1,18 +1,22 @@
 """Finite field arithmetic for GF(p^k) in a polynomial basis.
 
 Elements are integer codes in [0, p^k): the polynomial sum(c_i x^i) is coded
-as sum(c_i p^i), so code arithmetic is positional base-p.  Every field carries
-an explicit monic irreducible modulus; the default is the irreducible monic
-polynomial of degree k with the smallest integer code, which for (p,k)=(2,3)
-is x^3 + x + 1 (so alpha = x satisfies alpha^3 + alpha = 1).
+as sum(c_i p^i), so code arithmetic is positional base-p.  A field has one
+modulus: the irreducible monic polynomial of degree k with the smallest
+integer code, which for (p,k)=(2,3) is x^3 + x + 1 (so alpha = x satisfies
+alpha^3 + alpha = 1).
+
+A field is its tables: construction builds the addition, negation,
+multiplication and inverse tables once from the polynomial arithmetic, and
+every operation is a lookup in them.  SIZE_LIMIT is 256 because a matrix
+kind needs q^n <= 2^16 with n >= 2; GF(256) builds in under a second.
 """
 
 from __future__ import annotations
 
 from .errors import GuardError
 
-SIZE_LIMIT = 1 << 16
-_TABLE_LIMIT = 4096  # dense add/mul tables are kept for q below this
+SIZE_LIMIT = 256  # a matrix kind needs q^n <= 2^16 with n >= 2
 
 
 def _is_prime(n: int) -> bool:
@@ -85,14 +89,14 @@ def _is_irreducible(m, p):
 
 
 class Field:
-    """GF(p**k) with explicit modulus; elements are integer codes."""
+    """GF(p**k) with the default modulus; elements are integer codes."""
 
     __slots__ = (
-        "p", "k", "q", "modulus", "_mul_t", "_inv_t",
-        "_np_mul", "_np_add",
+        "p", "k", "q", "modulus", "_add_t", "_neg_t", "_mul_t", "_inv_t",
+        "_np_tables",
     )
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, k: int):
         if not _is_prime(p):
             raise GuardError(f"p = {p} is not prime")
         if k < 1:
@@ -103,21 +107,9 @@ class Field:
         self.p = p
         self.k = k
         self.q = q
-        if modulus is None:
-            modulus = self._default_modulus(p, k)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise GuardError("modulus must be monic of degree k")
-            if not _is_irreducible(modulus, p):
-                raise GuardError("modulus is reducible")
-        self.modulus = modulus
-        self._mul_t = None
-        self._inv_t = None
-        self._np_mul = None
-        self._np_add = None
-        if q <= _TABLE_LIMIT:
-            self._build_tables()
+        self.modulus = self._default_modulus(p, k)
+        self._np_tables = None
+        self._build_tables()
 
     @staticmethod
     def _default_modulus(p, k):
@@ -129,23 +121,21 @@ class Field:
         raise AssertionError("no irreducible polynomial found")
 
     def _build_tables(self):
-        q, p = self.q, self.p
+        q, p, k = self.q, self.p, self.k
+        polys = [self.coeffs(a) for a in range(q)]
+        digits = [c + (0,) * (k - len(c)) for c in polys]
+        self._add_t = [
+            [self.encode([(x + y) % p for x, y in zip(da, db)]) for db in digits]
+            for da in digits
+        ]
+        self._neg_t = [row.index(0) for row in self._add_t]
         mul = [[0] * q for _ in range(q)]
         for a in range(q):
-            pa = self.coeffs(a)
             for b in range(a, q):
-                c = self.encode(_pmod(_pmul(pa, self.coeffs(b), p), self.modulus, p))
-                mul[a][b] = c
-                mul[b][a] = c
+                mul[a][b] = mul[b][a] = self.encode(
+                    _pmod(_pmul(polys[a], polys[b], p), self.modulus, p))
         self._mul_t = mul
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_t = inv
+        self._inv_t = [0] + [row.index(1) for row in mul[1:]]
 
     # -- code/polynomial conversion ------------------------------------
 
@@ -162,49 +152,24 @@ class Field:
             a = a * self.p + c
         return a
 
-    # -- arithmetic on codes -------------------------------------------
+    # -- arithmetic on codes: table lookups ------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        out, mult = 0, 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self._add_t[a][b]
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        out, mult = 0, 1
-        while a:
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._neg_t[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._add_t[a][self._neg_t[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_t is not None:
-            return self._mul_t[a][b]
-        prod = _pmul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.encode(_pmod(prod, self.modulus, self.p))
+        return self._mul_t[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        return self.pow(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        return self._inv_t[a]
 
     def pow(self, a: int, e: int) -> int:
         e = int(e)
@@ -219,9 +184,6 @@ class Field:
             e >>= 1
         return out
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     @property
     def x(self) -> int:
         """The code of the basis generator x (needs k >= 2)."""
@@ -229,38 +191,24 @@ class Field:
             raise GuardError("prime field has no polynomial generator x")
         return self.p
 
-    def elements(self):
-        return range(self.q)
-
     # -- numpy tables for bulk matrix arithmetic ------------------------
 
     def np_tables(self):
         """(mul, add) uint16 tables for vectorized arithmetic."""
-        if self._np_mul is None:
+        if self._np_tables is None:
             import numpy as np
 
-            if self.q > _TABLE_LIMIT:
-                raise GuardError(f"no bulk tables for q = {self.q}")
-            self._np_mul = np.array(self._mul_t, dtype=np.uint16)
-            add = np.zeros((self.q, self.q), dtype=np.uint16)
-            for a in range(self.q):
-                for b in range(self.q):
-                    add[a, b] = self.add(a, b)
-            self._np_add = add
-        return self._np_mul, self._np_add
+            self._np_tables = (np.array(self._mul_t, dtype=np.uint16),
+                               np.array(self._add_t, dtype=np.uint16))
+        return self._np_tables
 
     # -- identity --------------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, Field) and (self.p, self.k) == (other.p, other.k)
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return hash((self.p, self.k))
 
     def __repr__(self):
         return f"GF({self.q})"

@@ -24,7 +24,9 @@ trailing zero bytes that an "S" dtype would strip.
 Group facts are read off the conjugacy classes.  The generator conjugation
 maps are the one pass of products over all of G; a central quotient projects
 its parent's maps instead of multiplying.  The classes are the orbits of the
-maps and the centre is the union of the singleton classes.  reduced_vertices
+maps and the centre is the union of the singleton classes.  Each class
+representative's powers x, x^2, ..., x^o = 1 are walked once: the walk's
+length is the class order and its p-th entry is x^p.  reduced_vertices
 infers centralizer abelianness along power maps and central translates,
 building a centralizer mask only for the classes it leaves undecided, and
 is_quasisimple takes one normal closure per class with central p-th powers,
@@ -55,15 +57,15 @@ def _st(count: int) -> struct.Struct:
     return s
 
 
-def _power(kind: Kind, x: bytes, e: int) -> bytes:
-    """x^e by repeated squaring."""
-    out = kind.identity()
-    while e:
-        if e & 1:
-            out = kind.mul(out, x)
-        x = kind.mul(x, x)
-        e >>= 1
-    return out
+def _walk(kind: Kind, x: bytes) -> list[bytes]:
+    """The powers x, x^2, ..., x^o = 1 of x, where o is its order."""
+    idp = kind.identity()
+    powers = [x]
+    while powers[-1] != idp:
+        if len(powers) >= 10_000_000:
+            raise PcgError("element order runaway")
+        powers.append(kind.mul(powers[-1], x))
+    return powers
 
 
 def _forced_abelian(n: int) -> bool:
@@ -573,15 +575,7 @@ class Element:
         return self.payload == self.kind.identity()
 
     def order(self) -> int:
-        idp = self.kind.identity()
-        x = self.payload
-        o = 1
-        while x != idp:
-            x = self.kind.mul(x, self.payload)
-            o += 1
-            if o > 10_000_000:
-                raise PcgError("element order runaway")
-        return o
+        return len(_walk(self.kind, self.payload))
 
     def render(self) -> str:
         return self.kind.render(self.payload)
@@ -699,7 +693,7 @@ class Group:
         self._center = None
         self._classes = None
         self._class_of = None
-        self._class_orders = None
+        self._walks: dict[int, list[bytes]] = {}
         self._conj = None
         self._reduced = None
         self._perfect = None
@@ -840,27 +834,30 @@ class Group:
             rank = np.empty(n, dtype=np.int32)
             rank[lab[order[np.r_[0, cuts]]]] = np.arange(len(self._classes))
             self._class_of = rank[lab].tolist()
-            self._class_orders = [None] * len(self._classes)
         return self._classes
 
     def class_of(self, i: int) -> int:
         self.conjugacy_classes()
         return self._class_of[i]
 
+    def _class_walk(self, ci: int) -> list[bytes]:
+        """The powers of class ci's first element, memoised."""
+        w = self._walks.get(ci)
+        if w is None:
+            w = self._walks[ci] = _walk(self.kind, self.elems[self.conjugacy_classes()[ci][0]])
+        return w
+
     def class_order(self, ci: int) -> int:
-        self.conjugacy_classes()
-        o = self._class_orders[ci]
-        if o is None:
-            o = self._class_orders[ci] = self.element(self._classes[ci][0]).order()
-        return o
+        return len(self._class_walk(ci))
 
     def element_order(self, i: int) -> int:
         return self.class_order(self.class_of(i))
 
     def _power_classes(self, ci: int) -> list[int]:
         """Classes of x^p for x in class ci and each prime p dividing o(x)."""
-        x, o = self.elems[self.conjugacy_classes()[ci][0]], self.class_order(ci)
-        return [self.class_of(self.index[_power(self.kind, x, p)])
+        w = self._class_walk(ci)
+        o = len(w)
+        return [self.class_of(self.index[w[p - 1]])
                 for p in range(2, o + 1) if o % p == 0 and _is_prime(p)]
 
     # -- reduction support ---------------------------------------------------

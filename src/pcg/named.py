@@ -258,14 +258,6 @@ class SymplecticContext:
             0, 0, neg1, 0,
         )
 
-    def form(self, x, y) -> int:
-        f = self.field
-        s = 0
-        for i in range(4):
-            for j in range(4):
-                s = f.add(s, f.mul(f.mul(x[i], self.gram[4 * i + j]), y[j]))
-        return s
-
     def transvection(self, v):
         """T_v : x -> x + F(x,v) v as a matrix."""
         f = self.field

@@ -233,9 +233,12 @@ def witness_su3(q: int) -> ElementTuple:
     if q % 2:
         on_line, on_perp = 1, neg1
     else:
+        # c * conj(c) = c^(q+1), so a norm-one c has order q + 1 exactly
+        # when its first q + 1 powers are distinct
         mu = next(
             c for c in range(2, f.q)
-            if f.mul(c, ctx.conj(c)) == 1 and _mult_order(f, c) == q + 1
+            if f.mul(c, ctx.conj(c)) == 1
+            and len({f.pow(c, e) for e in range(q + 1)}) == q + 1
         )
         on_line, on_perp = f.inv(f.mul(mu, mu)), mu
     payloads = []
@@ -251,14 +254,6 @@ def witness_su3(q: int) -> ElementTuple:
             raise ConstructionError(f"su:3:{q}: element order {e.order()}, wanted {want}")
         payloads.append(e)
     return _checked(ElementTuple(f"su:3:{q}", "odd-hole", tuple(payloads)), f"su:3:{q} tuple")
-
-
-def _mult_order(f, c: int) -> int:
-    o, x = 1, c
-    while x != 1:
-        x = f.mul(x, c)
-        o += 1
-    return o
 
 
 def witness_sp4(q: int) -> ElementTuple:

@@ -16,7 +16,6 @@ from pcg.cg import (
     read_dimacs_file,
     to_dimacs,
     twin_classes,
-    write_dimacs,
 )
 from pcg.classify import SUITE_ROWS
 from pcg.errors import PcgError
@@ -247,12 +246,12 @@ def test_dimacs_roundtrip():
 def test_dimacs_file_roundtrip(tmp_path):
     g = _graph(4, [(0, 1), (2, 3)])
     path = tmp_path / "g.dimacs"
-    write_dimacs(g, path)
+    path.write_text(to_dimacs(g), encoding="ascii")
     back = read_dimacs_file(path)
     assert back.rows == g.rows
     # repeated writes are byte-identical
     text1 = path.read_bytes()
-    write_dimacs(g, path)
+    path.write_text(to_dimacs(g), encoding="ascii")
     assert path.read_bytes() == text1
 
 

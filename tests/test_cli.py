@@ -471,6 +471,11 @@ def test_main_witness_bad_params(capsys):
     ["witness", "alt", "x"],
     ["witness", "sl3", "7"],
     ["analyze", "prod(sym:3"],
+    # a product takes zero or three specs, a chain product at most two
+    ["witness", "product", "sym:3"],
+    ["witness", "product", "sym:3", "sym:3"],
+    ["witness", "product", "sym:3", "sym:3", "sym:3", "sym:3"],
+    ["witness", "chain-product", "alt:6", "sym:3", "sym:3"],
 ])
 def test_main_unparsable_arguments(argv, capsys):
     assert main(argv) == 1

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from pcg.errors import GuardError
-from pcg.gf import Field, ff_make, field_of_size
+from pcg.gf import Field, _pmod, _pmul, ff_make, field_of_size
 
 
 def test_gf8_generator_relation():
@@ -27,11 +27,15 @@ def test_gf4_structure():
 def test_gf9_frobenius_is_automorphism():
     f = ff_make(3, 2)
     assert f.q == 9
-    for a in f.elements():
-        assert f.frobenius(f.frobenius(a)) == a
-        for b in f.elements():
-            assert f.frobenius(f.add(a, b)) == f.add(f.frobenius(a), f.frobenius(b))
-            assert f.frobenius(f.mul(a, b)) == f.mul(f.frobenius(a), f.frobenius(b))
+
+    def frob(a):
+        return f.pow(a, f.p)
+
+    for a in range(f.q):
+        assert frob(frob(a)) == a
+        for b in range(f.q):
+            assert frob(f.add(a, b)) == f.add(frob(a), frob(b))
+            assert frob(f.mul(a, b)) == f.mul(frob(a), frob(b))
 
 
 def test_field_axioms_seeded():
@@ -51,7 +55,7 @@ def test_field_axioms_seeded():
             assert f.sub(a, b) == f.add(a, f.neg(b))
             if a:
                 assert f.mul(a, f.inv(a)) == 1
-                assert f.div(b, a) == f.mul(b, f.inv(a))
+                assert f.mul(f.mul(b, f.inv(a)), a) == b
 
 
 def test_pow_matches_repeated_mul():
@@ -77,7 +81,7 @@ def test_multiplicative_group_order():
 
 def test_coeffs_encode_roundtrip():
     f = ff_make(5, 2)
-    for a in f.elements():
+    for a in range(f.q):
         assert f.encode(f.coeffs(a)) == a
     assert f.coeffs(0) == ()
     assert f.encode((3, 4)) == 3 + 4 * 5
@@ -87,8 +91,6 @@ def test_inverse_of_zero_raises():
     f = ff_make(3, 1)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        f.div(1, 0)
 
 
 def test_field_validation():
@@ -97,22 +99,7 @@ def test_field_validation():
     with pytest.raises(GuardError):
         Field(2, 0)
     with pytest.raises(GuardError):
-        Field(2, 17)  # 2^17 over the size limit
-    with pytest.raises(GuardError):
-        Field(2, 2, modulus=(1, 1))  # wrong degree
-    with pytest.raises(GuardError):
-        Field(2, 2, modulus=(1, 0, 1))  # x^2 + 1 reducible over GF(2)
-    with pytest.raises(GuardError):
-        Field(2, 1, modulus=(0, 2))  # not monic after reduction mod p
-
-
-def test_explicit_modulus_changes_arithmetic():
-    f1 = Field(3, 2)  # default modulus
-    f2 = Field(3, 2, modulus=(2, 2, 1))  # x^2 + 2x + 2, also irreducible
-    assert f1 != f2
-    assert f1.q == f2.q == 9
-    # in f2 the generator satisfies x^2 = -2x - 2 = x + 1
-    assert f2.mul(f2.x, f2.x) == f2.add(f2.x, 1)
+        Field(2, 9)  # 512 over the size limit of 256
 
 
 def test_prime_field_has_no_generator():
@@ -139,18 +126,43 @@ def test_np_tables_match_scalar_ops():
     f = ff_make(2, 3)
     mul, add = f.np_tables()
     assert mul.shape == (8, 8)
-    for a in f.elements():
-        for b in f.elements():
+    for a in range(f.q):
+        for b in range(f.q):
             assert int(mul[a, b]) == f.mul(a, b)
             assert int(add[a, b]) == f.add(a, b)
 
 
-def test_large_field_without_tables():
-    # q above the dense-table threshold still multiplies correctly
-    f = ff_make(2, 13)
-    assert f.q == 8192
-    a = f.x
-    assert f.mul(a, f.inv(a)) == 1
-    assert f.pow(a, f.q - 1) == 1
-    with pytest.raises(GuardError):
-        f.np_tables()
+def _digits(f, a):
+    c = f.coeffs(a)
+    return c + (0,) * (f.k - len(c))
+
+
+def _check_against_polynomials(f, a, b):
+    p = f.p
+    ca, cb = _digits(f, a), _digits(f, b)
+    assert f.add(a, b) == f.encode([(x + y) % p for x, y in zip(ca, cb)])
+    assert f.sub(a, b) == f.encode([(x - y) % p for x, y in zip(ca, cb)])
+    assert f.neg(a) == f.encode([-x % p for x in ca])
+    assert f.mul(a, b) == f.encode(_pmod(_pmul(ca, cb, p), f.modulus, p))
+    if a:
+        assert _pmod(_pmul(ca, f.coeffs(f.inv(a)), p), f.modulus, p) == (1,)
+
+
+def test_tables_match_polynomial_arithmetic():
+    # every pair for every prime power up to 64
+    for q in range(2, 65):
+        try:
+            f = field_of_size(q)
+        except GuardError:
+            continue
+        for a in range(q):
+            for b in range(q):
+                _check_against_polynomials(f, a, b)
+
+
+@pytest.mark.parametrize("q", [251, 256])
+def test_largest_tables_match_polynomial_arithmetic(q):
+    f = field_of_size(q)
+    rng = random.Random(q)
+    for _ in range(3000):
+        _check_against_polynomials(f, rng.randrange(q), rng.randrange(q))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcg.errors import CapError, ConstructionError, PcgError
-from pcg.gf import ff_make, field_of_size
+from pcg.gf import _is_prime, ff_make, field_of_size
 from pcg.grp import (
     CosetKind,
     Element,
@@ -101,7 +101,7 @@ def test_semi_kind_parts():
     # frobenius twist: (m, 1) * (m, 1) applies the field automorphism once
     j, mm = sk.parts(sk.mul(s, s))
     assert j == 2
-    frob = mk.make(tuple(f.frobenius(c) for c in mk.mat(m)))
+    frob = mk.make(tuple(f.pow(c, f.p) for c in mk.mat(m)))
     assert mm == mk.mul(m, frob)
 
 
@@ -188,6 +188,25 @@ def test_centralizer_and_class_sizes():
         assert G.class_order(G.class_of(i)) == G.element(i).order()
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
     assert sum(len(c) for c in classes) == 24
+
+
+@pytest.mark.parametrize("spec", [
+    "sym:5", "sl:3:4", "psl:3:4", "aut-sl2-8", "prod(sym:3,sym:3,sym:3)",
+])
+def test_power_classes_match_repeated_multiplication(spec):
+    # the class of x^p for each prime p dividing o(x), from the powers of
+    # the class's last element rather than its first
+    G = build(spec)
+    for ci, cls in enumerate(G.conjugacy_classes()):
+        x = G.element(cls[-1])
+        powers = [x]
+        while not powers[-1].is_identity():
+            powers.append(powers[-1] * x)
+        o = len(powers)
+        assert G.class_order(ci) == o
+        want = [G.class_of(G.index[powers[p - 1].payload])
+                for p in range(2, o + 1) if o % p == 0 and _is_prime(p)]
+        assert G._power_classes(ci) == want
 
 
 def test_element_order_matches_elements():
