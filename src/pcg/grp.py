@@ -10,8 +10,8 @@ minimum.
 
 Groups are built by breadth-first closure in a fixed deterministic order
 (generators sorted by encoding, FIFO queue, fixed chunk size), so regenerating
-a group from the same data yields an identical element table.  Bulk operations
-(closure, conjugation maps, commuting masks) go through one numpy kernel that
+a group from the same data yields an identical element table.  Bulk products
+(the closure, masks over a block of elements) go through one numpy kernel that
 every kind supports: elements become rows of 16-bit codes, rows multiply as
 arrays, and products turn back into encodings.  A product always has one
 fixed factor, so matrices over every field multiply by one table lookup: the
@@ -21,12 +21,18 @@ looked up by its base-q code, which is below q^n <= 2^16 and so fits uint16
 big-endian codes, read as one void item per row; a void dtype keeps the
 trailing zero bytes that an "S" dtype would strip.
 
-Group facts are read off the conjugacy classes.  The generator conjugation
-maps are the one pass of products over all of G; a central quotient projects
-its parent's maps instead of multiplying.  The classes are the orbits of the
-maps and the centre is the union of the singleton classes.  Each class
-representative's powers x, x^2, ..., x^o = 1 are walked once: the walk's
-length is the class order and its p-th entry is x^p.  reduced_vertices
+Products over all of G are index maps.  The closure records the
+right-multiplication maps R_g (the index of x g, for every x and generator
+g) as the one pass of products; a central quotient projects its parent's.  A
+breadth-first (Schreier) tree over them gives left maps L_h, since h (x g) =
+(h x) g along each tree edge, and the inverse map inv, since
+(x g)^-1 = g^-1 x^-1.  So the conjugation maps R_g[L_{g^-1}] and the
+centralizer masks L_x == R_x, with R_x = inv[L_{x^-1}[inv]], are gathers.
+
+Group facts are read off the conjugacy classes, the orbits of the
+conjugation maps; the centre is the union of the singleton classes.  Each
+class representative's powers x, x^2, ..., x^o = 1 are walked once: the
+walk's length is the class order and its p-th entry is x^p.  reduced_vertices
 infers centralizer abelianness along power maps and central translates,
 building a centralizer mask only for the classes it leaves undecided, and
 is_quasisimple takes one normal closure per class with central p-th powers,
@@ -36,6 +42,7 @@ stopped once the classes it meets hold more than |G|/2 elements.
 from __future__ import annotations
 
 import struct
+from itertools import repeat
 
 import numpy as np
 
@@ -432,8 +439,9 @@ class PairKind(Kind):
         raise PcgError(f"bad pair encoding: {s!r}")
 
     def to_array(self, payloads):
-        lefts, rights = zip(*map(self.split, payloads))
-        return np.hstack([self.left.to_array(lefts), self.right.to_array(rights)])
+        halves = list(map(self.split, payloads))
+        return np.hstack([self.left.to_array([a for a, _ in halves]),
+                          self.right.to_array([b for _, b in halves])])
 
     def from_array(self, arr):
         w = self._w
@@ -598,38 +606,53 @@ class Element:
 # closure enumeration
 
 
-def _extend_closure(kind: Kind, elems, index, gens, new, stop) -> None:
+def _extend_closure(kind: Kind, elems, index, gens, new, stop) -> list[list[np.ndarray]]:
     """Grow elems, which holds the identity and is closed under right
     multiplication by gens, until it is closed under gens + new as well.
 
     Elements already present are multiplied by new only, the elements this
     adds by every generator.  elems and index grow in place; CapError when
-    stop(p) holds for a new element p, before p is added.
+    stop(batch) holds for a list of new elements, before they are added.
+    Returns, for each generator g of gens + new, the int32 chunks of
+    index[x g] for x in elems order, from the first element multiplied by g.
     """
     done = len(elems)
     every = list(gens) + list(new)
+    looked: list[list[np.ndarray]] = [[] for _ in every]
     pos = 0
     while pos < len(elems):
         old = pos < done
         chunk = elems[pos:min(pos + _CHUNK, done) if old else pos + _CHUNK]
         pos += len(chunk)
         arr = kind.to_array(chunk)
-        for g in new if old else every:
-            for p in kind.mul_all(chunk, g, arr=arr):
-                if p not in index:
-                    if stop(p):
-                        raise CapError(f"closure stopped at {len(elems)} elements")
-                    index[p] = len(elems)
-                    elems.append(p)
+        for k in range(len(gens) if old else 0, len(every)):
+            prods = kind.mul_all(chunk, every[k], arr=arr)
+            ids = np.fromiter(map(index.get, prods, repeat(-1)), dtype=np.int32,
+                              count=len(prods))
+            # the products of one generator are distinct, so the missing ones
+            # are new and take the next indices in order
+            fresh = np.flatnonzero(ids < 0)
+            batch = list(map(prods.__getitem__, fresh.tolist()))
+            if stop(batch):
+                raise CapError(f"closure stopped at {len(elems)} elements")
+            start = len(elems)
+            ids[fresh] = np.arange(start, start + len(batch), dtype=np.int32)
+            index.update(zip(batch, range(start, start + len(batch))))
+            elems.extend(batch)
+            looked[k].append(ids)
+    return looked
 
 
 def _mulclose(kind: Kind, gens, cap: int):
-    """BFS closure of generator payloads; returns (elems, index), CapError past cap."""
+    """BFS closure of generator payloads from the identity: (elems, index,
+    maps), where maps[k][i] is the index of elems[i] gens[k]; CapError past
+    cap."""
     idp = kind.identity()
     elems = [idp]
     index = {idp: 0}
-    _extend_closure(kind, elems, index, [], gens, lambda p: len(elems) >= cap)
-    return elems, index
+    looked = _extend_closure(kind, elems, index, [], gens,
+                             lambda batch: len(elems) + len(batch) > cap)
+    return elems, index, [np.concatenate(c) for c in looked]
 
 
 def generate(gens, cap: int = DEFAULT_CAP, name: str = "") -> "Group":
@@ -644,8 +667,10 @@ def generate(gens, cap: int = DEFAULT_CAP, name: str = "") -> "Group":
     payloads = sorted({g.payload for g in gens} - {idp})
     if not payloads:
         return Group(kind, [idp], [], name=name)
-    elems, index = _mulclose(kind, payloads, cap)
-    return Group(kind, elems, payloads, name=name, _index=index)
+    elems, index, maps = _mulclose(kind, payloads, cap)
+    G = Group(kind, elems, payloads, name=name, _index=index)
+    G._right = maps
+    return G
 
 
 def _greedy_gen_indices(kind: Kind, elems) -> list[int]:
@@ -659,7 +684,7 @@ def _greedy_gen_indices(kind: Kind, elems) -> list[int]:
             break
         if x not in have:
             out.append(i)
-            closed, _ = _mulclose(kind, [elems[j] for j in out], cap=total)
+            closed, _, _ = _mulclose(kind, [elems[j] for j in out], cap=total)
             have = set(closed)
     if len(have) != total:
         raise ConstructionError("could not generate group from its own elements")
@@ -689,7 +714,9 @@ class Group:
         self.name = name
         self.parent = parent
         self.proj = proj
-        self._arr = None
+        self._right = None
+        self._tree = None
+        self._inv = None
         self._center = None
         self._classes = None
         self._class_of = None
@@ -738,26 +765,114 @@ class Group:
             return int(self.proj[self.parent.index[base.inv(self.elems[i][1:])]])
         return self.index[self.kind.inv(self.elems[i])]
 
-    def arr(self):
-        if self._arr is None:
-            self._arr = self.kind.to_array(self.elems)
-        return self._arr
+    # -- index maps ---------------------------------------------------------
+
+    def right_maps(self) -> list[np.ndarray]:
+        """One int32 map per generator g: maps[k][i] is the index of x g for
+        x = elems[i].
+
+        The closure that built the group records them.  A central quotient
+        projects its parent's: the coset xZ times gZ is (x g)Z, for the first
+        parent generator g behind each quotient generator.  Any other group
+        takes one block product per generator.
+        """
+        if self._right is None:
+            n = len(self)
+            maps = []
+            if self.parent is not None:
+                P, proj = self.parent, self.proj
+                behind = {}
+                for j, g in enumerate(P.gens):
+                    behind.setdefault(int(proj[P.index[g]]), j)
+                pmaps = P.right_maps()
+                for g in self.gens:
+                    m = np.empty(n, dtype=np.int32)
+                    m[proj] = proj[pmaps[behind[self.index[g]]]]
+                    maps.append(m)
+            else:
+                k, index = self.kind, self.index
+                arr = k.to_array(self.elems)
+                for g in self.gens:
+                    prods = k.mul_all(self.elems, g, arr=arr)
+                    maps.append(np.fromiter(map(index.__getitem__, prods),
+                                            dtype=np.int32, count=n))
+            self._right = maps
+        return self._right
+
+    def _schreier(self) -> list[tuple[int, np.ndarray]]:
+        """Breadth-first (Schreier) tree of the right Cayley graph from the
+        identity, as steps (k, parents): the elements maps[k][parents] are
+        first reached from those parents along generator k.  PcgError when
+        the generators do not reach every element."""
+        if self._tree is None:
+            n = len(self)
+            seen = np.zeros(n, dtype=bool)
+            seen[0] = True
+            level = np.zeros(1, dtype=np.int32)
+            steps = []
+            while level.size:
+                nxt = []
+                for k, m in enumerate(self.right_maps()):
+                    c = m[level]
+                    fresh = ~seen[c]
+                    if fresh.any():
+                        seen[c[fresh]] = True
+                        steps.append((k, level[fresh]))
+                        nxt.append(c[fresh])
+                level = np.concatenate(nxt) if nxt else level[:0]
+            if not seen.all():
+                raise PcgError(f"the generators reach {int(seen.sum())} of {n} elements")
+            self._tree = steps
+        return self._tree
+
+    def left_maps(self, indices) -> np.ndarray:
+        """L[r][i] is the index of h x for h = elems[indices[r]], x = elems[i].
+
+        L[r][0] is h, and along each tree edge from x to x g,
+        h (x g) = (h x) g: one gather per step, with no products."""
+        R = self.right_maps()
+        L = np.empty((len(self), len(indices)), dtype=np.int32)
+        L[0] = indices
+        for k, parents in self._schreier():
+            m = R[k]
+            L[m[parents]] = m[L[parents]]
+        return L.T
+
+    def inverse_map(self) -> np.ndarray:
+        """inv[i] is the index of x^-1 for x = elems[i]."""
+        if self._inv is None:
+            self._index_maps()
+        return self._inv
+
+    def _index_maps(self) -> None:
+        # conjugation by g is x -> g^-1 x g = R_g[L_{g^-1}[x]], and along each
+        # tree edge (x g)^-1 = g^-1 x^-1 = L_{g^-1}[x^-1]; g^-1 is where R_g
+        # holds the identity
+        R = self.right_maps()
+        Linv = self.left_maps([int(m.argmin()) for m in R])
+        self._conj = [m[lm] for m, lm in zip(R, Linv)]
+        inv = np.zeros(len(self), dtype=np.int32)
+        for k, parents in self._schreier():
+            inv[R[k][parents]] = Linv[k][inv[parents]]
+        self._inv = inv
 
     # -- masks ------------------------------------------------------------
 
     def block(self, indices):
         """(payloads, array rows) of the elements at the given indices."""
-        indices = list(indices)
         payloads = [self.elems[j] for j in indices]
-        return payloads, self.arr()[np.asarray(indices, dtype=np.int64)]
+        return payloads, self.kind.to_array(payloads)
 
     def commute_mask(self, i: int, subset=None):
-        """Boolean mask of elements commuting with element i."""
-        if subset is None:
-            payloads, arr = self.elems, self.arr()
-        else:
-            payloads, arr = self.block(subset)
-        return self.kind.commute_mask(payloads, self.elems[i], arr=arr)
+        """Boolean mask of elements commuting with element i.
+
+        x y = y x where L_x[y] == R_x[y], and R_x = inv[L_{x^-1}[inv]] since
+        (y x)^-1 = x^-1 y^-1: two left maps and no products.  On subset, the
+        mask's entries at those indices."""
+        inv = self.inverse_map()
+        L = self.left_maps([i, int(inv[i])])
+        mask = L[0] == inv[L[1][inv]]
+        return mask if subset is None else mask[np.asarray(subset, dtype=np.int64)]
 
     def center(self) -> tuple[int, ...]:
         """Indices of the central elements: the singleton conjugacy classes."""
@@ -780,35 +895,11 @@ class Group:
 
     def conjugation_maps(self) -> list[np.ndarray]:
         """One int32 index map per generator g: maps[k][i] is the index of
-        g^-1 x g for x = elems[i].
-
-        These maps are the group layer's one pass of products over all of G;
-        classes, the centre and the quotient's maps are read off them.  A
-        central quotient projects its parent's maps through proj instead:
-        conjugation by g sends the coset xZ to (g^-1 x g)Z.
-        """
+        g^-1 x g for x = elems[i], read off the right-multiplication maps and
+        the tree with no products.  Classes, the centre and the normal
+        closures are read off them."""
         if self._conj is None:
-            n = len(self)
-            maps = []
-            if self.parent is not None:
-                P, proj = self.parent, self.proj
-                # the first parent generator behind each quotient generator
-                behind = {}
-                for j, g in enumerate(P.gens):
-                    behind.setdefault(int(proj[P.index[g]]), j)
-                pmaps = P.conjugation_maps()
-                for g in self.gens:
-                    m = np.empty(n, dtype=np.int32)
-                    m[proj] = proj[pmaps[behind[self.index[g]]]]
-                    maps.append(m)
-            else:
-                k, index = self.kind, self.index
-                for g in self.gens:
-                    rows = k.to_array([g, k.inv(g)])
-                    conj = k.mul_arrays(rows[1], k.mul_arrays(self.arr(), rows[0]))
-                    maps.append(np.fromiter(map(index.__getitem__, k.from_array(conj)),
-                                            dtype=np.int32, count=n))
-            self._conj = maps
+            self._index_maps()
         return self._conj
 
     def conjugacy_classes(self) -> list[list[int]]:
@@ -937,11 +1028,11 @@ class Group:
         of = self._class_of
         left = n // 2 - 1  # the identity's class is met from the start
 
-        def heavy(p):
+        def heavy(batch):
             nonlocal left
-            c = of[index[p]]
-            left -= unmet[c]
-            unmet[c] = 0
+            for c in map(of.__getitem__, map(index.__getitem__, batch)):
+                left -= unmet[c]
+                unmet[c] = 0
             return left < 0
 
         idp = k.identity()
@@ -1018,7 +1109,7 @@ def central_quotient(G: Group, central_indices) -> Group:
             if k.mul(a, b) not in zset:
                 raise ConstructionError("central subset is not a subgroup")
     ck = CosetKind(k, zp)
-    canon = ck.from_array(G.arr())
+    canon = ck.from_array(k.to_array(G.elems))
     elems = []
     index = {}
     proj = []

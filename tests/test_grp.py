@@ -245,9 +245,57 @@ def test_commute_mask_against_bruteforce(spec, kind):
 @pytest.mark.parametrize("spec, kind", _KIND_SPECS)
 def test_array_rows_roundtrip(spec, kind):
     G = build(spec)
-    rows = G.kind.to_array(G.elems)
+    k = G.kind
+    rows = k.to_array(G.elems)
     assert rows.dtype == np.uint16 and rows.shape[0] == len(G)
-    assert G.kind.from_array(rows) == G.elems
+    assert k.from_array(rows) == G.elems
+    # no payloads: a (0, width) block, and empty products and masks
+    empty = k.to_array([])
+    assert empty.dtype == np.uint16 and empty.shape == (0, rows.shape[1])
+    assert k.from_array(empty) == []
+    assert k.mul_all([], G.elems[1]) == []
+    assert k.commute_mask([], G.elems[1]).shape == (0,)
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in _KIND_SPECS] + ["sl:3:4", "sz:8"])
+def test_index_maps_match_scalar_products(spec):
+    # right, left, inverse and conjugation maps against one product each:
+    # every row of small groups, a sample of rows of larger ones
+    G = build(spec)
+    k, index, n = G.kind, G.index, len(G)
+    rows = range(n) if n <= 1000 else random.Random(n).sample(range(n), 150)
+    inv = G.inverse_map()
+    hs = [0, 1, n // 2, n - 1]
+    L = G.left_maps(hs)
+    for i in rows:
+        x = G.elems[i]
+        assert inv[i] == index[k.inv(x)]
+        for g, R, C in zip(G.gens, G.right_maps(), G.conjugation_maps()):
+            assert R[i] == index[k.mul(x, g)]
+            assert C[i] == index[k.mul(k.mul(k.inv(g), x), g)]
+        for h, Lh in zip(hs, L):
+            assert Lh[i] == index[k.mul(G.elems[h], x)]
+
+
+@pytest.mark.parametrize("spec", ["sl:3:4", "sz:8", "alt:8"])
+def test_recorded_right_maps_match_products(spec):
+    # the closure records x g for every x and generator g; a copy of the
+    # group without them computes the maps from one block product each
+    G = build(spec)
+    assert G._right is not None
+    fresh = Group(G.kind, G.elems, G.gens)
+    for a, b in zip(G.right_maps() + G.conjugation_maps() + [G.inverse_map()],
+                    fresh.right_maps() + fresh.conjugation_maps() + [fresh.inverse_map()]):
+        assert np.array_equal(a, b)
+
+
+def test_index_maps_need_a_generating_set():
+    # with one of sl:3:4's generators the tree reaches a cyclic subgroup only;
+    # its orbits would not be G's classes
+    G = build("sl:3:4")
+    H = Group(G.kind, G.elems, G.gens[:1])
+    with pytest.raises(PcgError, match="generators reach"):
+        H.conjugacy_classes()
 
 
 # every (q, n) of a matrix kind built by a spec within the guards: sl:2, gl:2
@@ -388,6 +436,7 @@ def test_projected_quotient_maps_match_products(spec):
     Q = build(spec)
     assert Q.parent is not None
     fresh = Group(Q.kind, Q.elems, Q.gens)
+    assert [m.tolist() for m in Q.right_maps()] == [m.tolist() for m in fresh.right_maps()]
     assert [m.tolist() for m in Q.conjugation_maps()] == [
         m.tolist() for m in fresh.conjugation_maps()]
     assert Q.conjugacy_classes() == fresh.conjugacy_classes()
@@ -403,7 +452,7 @@ def _closure_from_identity(G, seeds):
         return 1
     while True:
         try:
-            elems, index = _mulclose(k, seeds, cap=n // 2)
+            elems, index, _ = _mulclose(k, seeds, cap=n // 2)
         except CapError:
             return n
         new = {k.mul(k.mul(k.inv(g), s), g) for s in seeds for g in G.gens} - index.keys()
