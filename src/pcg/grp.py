@@ -17,7 +17,8 @@ arrays, and products turn back into encodings.  A product always has one
 fixed factor, so matrices over every field multiply by one table lookup: the
 table holds every length-n vector times the fixed matrix, and a vector is
 looked up by its base-q code, which is below q^n <= 2^16 and so fits uint16
-(MatKind).  Rows turn back into encodings through one uint8 buffer of tag and
+(MatKind); a kind keeps the tables of its last few fixed factors, since a
+generator is the fixed factor of every closure chunk.  Rows turn back into encodings through one uint8 buffer of tag and
 big-endian codes, read as one void item per row; a void dtype keeps the
 trailing zero bytes that an "S" dtype would strip.
 
@@ -34,15 +35,21 @@ conjugation maps; the centre is the union of the singleton classes.  Each
 class representative's powers x, x^2, ..., x^o = 1 are walked once: the
 walk's length is the class order and its p-th entry is x^p.  reduced_vertices
 infers centralizer abelianness along power maps and central translates,
-building a centralizer mask only for the classes it leaves undecided, and
-is_quasisimple takes one normal closure per class with central p-th powers,
-stopped once the classes it meets hold more than |G|/2 elements.
+building a centralizer mask only for the classes it leaves undecided.
+is_quasisimple needs <x^G> = G only for the non-central x whose p-th power
+is central for every prime p dividing o(x): any other x with a central prime
+power has a non-central prime power x^q, of smaller order and with
+<(x^q)^G> inside <x^G>, so by induction on the order the closures of the
+others follow.  Powers x^k with k prime to o(x) share x's closure, so it
+takes one normal closure per rational class of those x, each stopped once
+the classes it meets hold more than |G|/2 elements.
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import repeat
+from math import gcd
 
 import numpy as np
 
@@ -53,6 +60,7 @@ from .gf import Field, _is_prime
 DEFAULT_CAP = 2_000_000
 _CHUNK = 4096  # closure chunk size; part of the deterministic ordering
 _CODE_RANGE = 1 << 16  # vector codes of a matrix kind are uint16
+_TABLE_MEMO = 8  # vector tables a matrix kind keeps, oldest dropped first
 
 _STRUCTS: dict[int, struct.Struct] = {}
 
@@ -221,6 +229,10 @@ class MatKind(Kind):
     transpose of M.  Codes are below q^n, which must fit the uint16 code
     range (the guards keep q^n <= 4096), so codes, tables and products all
     stay uint16, and the one path serves every field.
+
+    The fixed factor repeats (a generator over every closure chunk, one
+    matrix against many blocks), so the kind keeps the tables of its last
+    _TABLE_MEMO fixed matrices, keyed by their bytes.
     """
 
     tag = b"M"
@@ -233,6 +245,7 @@ class MatKind(Kind):
         self.n = n
         self._s = _st(n * n)
         self._id = b"M" + self._s.pack(*linalg.identity(n))
+        self._tables: dict[bytes, np.ndarray] = {}
 
     def make(self, flat) -> bytes:
         flat = tuple(int(x) for x in flat)
@@ -269,13 +282,21 @@ class MatKind(Kind):
         return self.make(tuple(int(t) for t in parts[3].split(",")))
 
     def _table(self, M):
-        """T[c] = v M for the vector v with code c, M an n x n array."""
-        n = self.n
-        MT, AT = self.field.np_tables()
-        T = np.zeros((1, n), dtype=np.uint16)
-        for k in range(n):
-            # codes c*q + d: every vector so far, extended by the digit d
-            T = AT[T[:, None, :], MT[:, M[k]]].reshape(-1, n)
+        """T[c] = v M for the vector v with code c, M an n x n array;
+        memoised, read-only."""
+        key = M.tobytes()
+        T = self._tables.get(key)
+        if T is None:
+            n = self.n
+            MT, AT = self.field.np_tables()
+            T = np.zeros((1, n), dtype=np.uint16)
+            for k in range(n):
+                # codes c*q + d: every vector so far, extended by the digit d
+                T = AT[T[:, None, :], MT[:, M[k]]].reshape(-1, n)
+            T.flags.writeable = False
+            if len(self._tables) >= _TABLE_MEMO:
+                del self._tables[next(iter(self._tables))]
+            self._tables[key] = T
         return T
 
     def _codes(self, X):
@@ -1073,19 +1094,37 @@ class Group:
         """Perfect with simple central quotient, read off G's own classes.
 
         G is quasisimple exactly when it is non-abelian and <x^G> = G for each
-        non-central x (one per class) with x^p central for a prime p.  Every
+        x in T, the non-central x with x^p central for a prime p.  Every
         normal N not inside Z = Z(G) holds such an x: the last non-central
         term of y, y^p, y^pq, ... for a non-central y in N.  So each such N is
         G, G/Z is simple, and G' = G, as G' inside Z would put x^G in xZ and
         make <x^G> abelian.  Conversely, if G/Z is simple and x non-central,
         <x^G>Z = G, so G/<x^G> is abelian and <x^G> holds G' = G.
+
+        One closure per rational class of T_min suffices, T_min being the x in
+        T with x^q central for every prime q dividing o(x).  If x is in T and
+        x^q is not central, then x^q is in T, has smaller order and
+        <x^G> holds <(x^q)^G>; by induction on o(x), the closures over T are
+        all G when those over T_min are.  And x^k with k prime to o(x)
+        generates <x>, so it has the closure of x: the walk of x gives its
+        rational class, whose classes need no closure of their own.
         """
         if self._quasisimple is None:
             classes = self.conjugacy_classes()
+
+            def seeds():
+                covered = set()
+                for c, cls in enumerate(classes):
+                    if c in covered or len(cls) == 1 or any(
+                            len(classes[d]) > 1 for d in self._power_classes(c)):
+                        continue
+                    w = self._class_walk(c)
+                    covered.update(self.class_of(self.index[w[k - 1]])
+                                   for k in range(1, len(w) + 1) if gcd(k, len(w)) == 1)
+                    yield self.elems[cls[0]]
+
             self._quasisimple = not self.is_abelian() and all(
-                self._normal_closure_size([self.elems[cls[0]]]) == len(self)
-                for c, cls in enumerate(classes)
-                if len(cls) > 1 and any(len(classes[d]) == 1 for d in self._power_classes(c)))
+                self._normal_closure_size([x]) == len(self) for x in seeds())
         return self._quasisimple
 
 
@@ -1208,8 +1247,14 @@ def quotient_align(Q1: Group, Q2: Group, budget: int = 10_000_000):
     gens = _greedy_gen_indices(Q1.kind, Q1.elems)
     ngens = len(gens)
 
+    def right(Q, hs):
+        # R_h = inv[L_{h^-1}[inv]], as rows of Python ints
+        inv = Q.inverse_map()
+        return inv[Q.left_maps(inv[hs])[:, inv]].tolist()
+
     # one deterministic pass over Q1's multiplication by its generators;
     # replayed per candidate assignment to extend and verify the map
+    R1 = right(Q1, gens)
     trans = []
     seen = [False] * n
     seen[0] = True
@@ -1219,7 +1264,7 @@ def quotient_align(Q1: Group, Q2: Group, budget: int = 10_000_000):
         x = order_list[qi]
         qi += 1
         for gi in range(ngens):
-            y = Q1.mul_idx(x, gens[gi])
+            y = R1[gi][x]
             trans.append((x, gi, y))
             if not seen[y]:
                 seen[y] = True
@@ -1238,6 +1283,7 @@ def quotient_align(Q1: Group, Q2: Group, budget: int = 10_000_000):
 
     def try_assignment(imgs):
         nonlocal budget_left
+        R2 = right(Q2, imgs)
         f = [-1] * n
         used = [False] * n
         f[0] = 0
@@ -1246,7 +1292,7 @@ def quotient_align(Q1: Group, Q2: Group, budget: int = 10_000_000):
             if budget_left <= 0:
                 raise CapError("quotient_align budget exhausted")
             budget_left -= 1
-            fy = Q2.mul_idx(f[x], imgs[gi])
+            fy = R2[gi][f[x]]
             if f[y] < 0:
                 if used[fy]:
                     return None
@@ -1263,15 +1309,16 @@ def quotient_align(Q1: Group, Q2: Group, budget: int = 10_000_000):
         nonlocal budget_left
         if level == ngens:
             return try_assignment(chosen)
-        g = gens[level]
+        # the products h img for each image h chosen so far, as rows of L_h
+        L2 = Q2.left_maps(chosen[:level])
         for img in cands[level]:
             if budget_left <= 0:
                 raise CapError("quotient_align budget exhausted")
             ok = True
             for prev in range(level):
                 budget_left -= 1
-                p1 = Q1.mul_idx(gens[prev], g)
-                p2 = Q2.mul_idx(chosen[prev], img)
+                p1 = R1[level][gens[prev]]
+                p2 = int(L2[prev, img])
                 if Q1.element_order(p1) != Q2.element_order(p2):
                     ok = False
                     break

@@ -15,6 +15,7 @@ from pcg.grp import (
     PairKind,
     PermKind,
     SemiKind,
+    _TABLE_MEMO,
     _mulclose,
     central_quotient,
     direct_product,
@@ -330,6 +331,25 @@ def test_mat_kernel_matches_scalar_products(q, n):
             assert mk.from_array(mk.mul_arrays(X, V)[None]) == [mk.mul(x, v)]
 
 
+@pytest.mark.parametrize("q, n", [(4, 2), (3, 3)])
+def test_mat_table_memo_evicts_and_stays_exact(q, n):
+    # more fixed factors than the memo holds, on either side, twice over:
+    # every product comes from a fresh or a kept table, never a stale one
+    mk = MatKind(field_of_size(q), n)
+    rng = random.Random(q * 100 + n)
+    block = _random_mats(mk, rng, 12)
+    arr = mk.to_array(block)
+    fixed = list(dict.fromkeys(_random_mats(mk, rng, _TABLE_MEMO + 6)))
+    assert len(fixed) > _TABLE_MEMO
+    for _ in range(2):
+        for v in fixed:
+            V = mk.to_array([v])[0]
+            assert mk.from_array(mk.mul_arrays(arr, V)) == [mk.mul(x, v) for x in block]
+            assert mk.from_array(mk.mul_arrays(V, arr)) == [mk.mul(v, x) for x in block]
+            assert len(mk._tables) <= _TABLE_MEMO
+    assert len(mk._tables) == _TABLE_MEMO
+
+
 @pytest.mark.parametrize("q, n", _GUARD_FIELDS)
 def test_semi_kernel_matches_scalar_products(q, n):
     mk = MatKind(field_of_size(q), n)
@@ -532,6 +552,9 @@ def _index_closure(table, seeds):
 @pytest.mark.parametrize("spec", [
     "alt:4", "sym:4", "sl:2:3", "gl:2:3", "alt:5", "cq(sl:2:5)", "sym:5",
     "sl:2:5", "prod(alt:5,sym:2)", "sl:3:2",
+    # its elements of order 6 and 14 have a central 3rd or 7th power but a
+    # non-central square, so is_quasisimple closes no class of theirs
+    "sl:2:7",
 ])
 def test_group_predicates_match_definitions(spec):
     # perfect: the commutators generate G; simple: every x != 1 has normal
@@ -543,16 +566,40 @@ def test_group_predicates_match_definitions(spec):
     inv = [row.index(0) for row in table]
     center = [z for z in range(n) if all(table[z][g] == table[g][z] for g in range(n))]
 
+    sizes = {}
+
     def closure_of_class(x, extra=()):
-        return _index_closure(table, {table[table[inv[g]][x]][g] for g in range(n)} | set(extra))
+        # the order of <x^G, extra>; class-mates share it
+        key = (frozenset(table[table[inv[g]][x]][g] for g in range(n)), tuple(extra))
+        if key not in sizes:
+            sizes[key] = len(_index_closure(table, key[0] | set(extra)))
+        return sizes[key]
 
     perfect = len(_index_closure(table, {table[table[inv[a]][inv[b]]][table[a][b]]
                                          for a in range(n) for b in range(n)})) == n
-    simple = n > 1 and all(len(closure_of_class(x)) == n for x in range(1, n))
+    simple = n > 1 and all(closure_of_class(x) == n for x in range(1, n))
     quasisimple = perfect and len(center) < n and all(
-        len(closure_of_class(x, center)) == n for x in range(n) if x not in center)
+        closure_of_class(x, center) == n for x in range(n) if x not in center)
     assert (G.is_perfect_group(), G.is_simple(), G.is_quasisimple()) == (
         perfect, simple, quasisimple)
+
+
+@pytest.mark.parametrize("spec", ["sl:3:4", "fib(3a6,sl:2:9)"])
+def test_quasisimplicity_closes_one_class_per_rational_class(spec, monkeypatch):
+    # sl:3:4 has 16 classes with a central prime power and fib(3a6,sl:2:9)
+    # 19; only the minimal ones, one per rational class, are closed
+    B = build(spec)
+    G = Group(B.kind, B.elems, B.gens)
+    calls = []
+    closure = Group._normal_closure_size
+
+    def counted(self, seeds):
+        calls.append(seeds)
+        return closure(self, seeds)
+
+    monkeypatch.setattr(Group, "_normal_closure_size", counted)
+    assert G.is_quasisimple()
+    assert 1 <= len(calls) <= 4
 
 
 def test_quasisimplicity_builds_no_quotient():
