@@ -82,7 +82,7 @@ class CommGraph:
     def render_vertex(self, u: int) -> str:
         if self.group is None or self.vids is None:
             raise PcgError("graph has no group provenance to render from")
-        return self.group.kind.render(self.group.elems[self.vids[u]])
+        return self.group.element(self.vids[u]).render()
 
     def __eq__(self, other):
         return (
@@ -152,13 +152,13 @@ def _adjacency(G: Group, vids) -> list[int]:
     perms = [where[np.asarray(cm)[sel]] for cm in G.conjugation_maps()]
     if any((p < 0).any() for p in perms):
         raise PcgError("adjacency needs a vertex set closed under conjugation")
-    payloads, arr = G.block(vids)
+    arr = G.rows[sel]
     nbrs: list[np.ndarray | None] = [None] * m
     for cls in G.conjugacy_classes():
         start = int(where[cls[0]])
         if start < 0:
             continue
-        mask = G.kind.commute_mask(payloads, payloads[start], arr=arr)
+        mask = G.kind.commute_mask(arr, arr[start])
         mask[start] = False
         nbrs[start] = np.flatnonzero(mask)
         stack = [start]

@@ -5,20 +5,31 @@ a Kind object interprets the bytes and supplies multiplication, inversion and
 rendering.  Kinds exist for permutations, matrices over a finite field,
 semilinear pairs (matrix, Frobenius power), direct-product pairs and cosets of
 a central subgroup.  Equal elements always have identical encodings, so
-element equality is byte equality and coset canonicalization is a byte
-minimum.
+element equality is byte equality.
+
+A group stores no encodings.  It holds one (n, w) uint16 block of rows, the
+big-endian 16-bit codes that follow each payload's tag (Kind.to_array), and
+one uint64 key per row: the codes read as mixed-radix digits, most
+significant first, the radix of a column being the permutation degree, the
+field size or the Frobenius period.  Every code is below its radix, so key
+order is payload byte order, and finding elements is one searchsorted in the
+sorted keys.  Encodings are made only where they leave the group: Elements,
+rendering, witnesses and scalar walks.  A coset is represented by its member
+of least key, which is its minimum encoding; a central quotient finds it with
+the left maps of the subgroup, and modulo the trivial subgroup a quotient
+shares its cover's table and index maps.
 
 Groups are built by breadth-first closure in a fixed deterministic order
 (generators sorted by encoding, FIFO queue, fixed chunk size), so regenerating
-a group from the same data yields an identical element table.  Bulk products
-(the closure, masks over a block of elements) go through one numpy kernel that
-every kind supports: elements become rows of 16-bit codes, rows multiply as
-arrays, and products turn back into encodings.  A product always has one
-fixed factor, so matrices over every field multiply by one table lookup: the
-table holds every length-n vector times the fixed matrix, and a vector is
-looked up by its base-q code, which is below q^n <= 2^16 and so fits uint16
-(MatKind); a kind keeps the tables of its last few fixed factors, since a
-generator is the fixed factor of every closure chunk.  Rows turn back into encodings through one uint8 buffer of tag and
+a group from the same data yields an identical element table.  A chunk of rows
+times a generator is one numpy product; its keys are looked up in the sorted
+keys, and the rows not found are appended and their keys merged in.  A
+product always has one fixed factor, so matrices over every field multiply by
+one table lookup: the table holds every length-n vector times the fixed
+matrix, and a vector is looked up by its base-q code, which is below
+q^n <= 2^16 and so fits uint16 (MatKind); a kind keeps the tables of its last
+few fixed factors, since a generator is the fixed factor of every closure
+chunk.  Rows turn back into encodings through one uint8 buffer of tag and
 big-endian codes, read as one void item per row; a void dtype keeps the
 trailing zero bytes that an "S" dtype would strip.
 
@@ -31,7 +42,9 @@ breadth-first (Schreier) tree over them gives left maps L_h, since h (x g) =
 centralizer masks L_x == R_x, with R_x = inv[L_{x^-1}[inv]], are gathers.
 
 Group facts are read off the conjugacy classes, the orbits of the
-conjugation maps; the centre is the union of the singleton classes.  Each
+conjugation maps, kept as one int32 class label per element beside the
+elements sorted by class; the centre is the union of the singleton classes.
+Each
 class representative's powers x, x^2, ..., x^o = 1 are walked once: the
 walk's length is the class order and its p-th entry is x^p.  reduced_vertices
 infers centralizer abelianness along power maps and central translates,
@@ -47,9 +60,8 @@ the classes it meets hold more than |G|/2 elements.
 
 from __future__ import annotations
 
+import math
 import struct
-from itertools import repeat
-from math import gcd
 
 import numpy as np
 
@@ -61,6 +73,7 @@ DEFAULT_CAP = 2_000_000
 _CHUNK = 4096  # closure chunk size; part of the deterministic ordering
 _CODE_RANGE = 1 << 16  # vector codes of a matrix kind are uint16
 _TABLE_MEMO = 8  # vector tables a matrix kind keeps, oldest dropped first
+_BLOCK = 1 << 16  # rows per block product over a whole group
 
 _STRUCTS: dict[int, struct.Struct] = {}
 
@@ -101,8 +114,14 @@ class Kind:
     Bulk work uses rows: to_array turns payloads into a 2-D uint16 array, one
     row per element, holding the big-endian 16-bit codes that follow the tag
     byte; from_array is its inverse and puts back the kind's tag; mul_arrays
-    multiplies a row or a block of rows by one row, or one row by a block.
+    multiplies a row or a block of rows by one row, or one row by a block, and
+    canonical_rows maps product rows to the rows of their canonical encodings.
+    Column j of a row holds a code below radices()[j], and keys reads a row as
+    those mixed-radix digits, most significant first.
     """
+
+    def radices(self) -> tuple[int, ...]:
+        raise NotImplementedError
 
     def identity(self) -> bytes:
         raise NotImplementedError
@@ -138,16 +157,51 @@ class Kind:
     def mul_arrays(self, A, B):
         raise NotImplementedError
 
-    def mul_all(self, payloads, v, arr=None):
-        """The products x*v for x in payloads."""
-        if arr is None:
-            arr = self.to_array(payloads)
-        return self.from_array(self.mul_arrays(arr, self.to_array([v])[0]))
+    def canonical_rows(self, arr):
+        return arr
 
-    def commute_mask(self, payloads, v, arr=None):
-        if arr is None:
-            arr = self.to_array(payloads)
-        V = self.to_array([v])[0]
+    def _places(self):
+        """(radices, place values, place values as uint64) of the key digits;
+        ConstructionError when the radices' product exceeds 2^64."""
+        p = getattr(self, "_place", None)
+        if p is None:
+            radices = self.radices()
+            if math.prod(radices) > 1 << 64:
+                raise ConstructionError(f"{self!r}: element keys need more than 64 bits")
+            place = [math.prod(radices[j + 1:]) for j in range(len(radices))]
+            p = self._place = (radices, place, np.array(place, dtype=np.uint64))
+        return p
+
+    def keys(self, arr):
+        """The uint64 key of each row (of the one row, if arr is 1-D): equal
+        rows have equal keys, and key order is payload byte order."""
+        place = self._places()[2]
+        if arr.ndim == 1:
+            return arr.astype(np.uint64) @ place
+        out = np.empty(len(arr), dtype=np.uint64)
+        for s in range(0, len(arr), _CHUNK):
+            out[s:s + _CHUNK] = arr[s:s + _CHUNK].astype(np.uint64) @ place
+        return out
+
+    def key(self, codes) -> int:
+        """The key of one row given as ints; -1 when a code is out of range."""
+        radices, place, _ = self._places()
+        if len(codes) != len(radices) or not all(0 <= c < r for c, r in zip(codes, radices)):
+            return -1
+        return sum(c * v for c, v in zip(codes, place))
+
+    # single elements ------------------------------------------------------
+
+    def codes(self, a: bytes) -> tuple[int, ...]:
+        """The row of one payload, as ints (to_array for one element)."""
+        return _st((len(a) - 1) // 2).unpack(a[1:])
+
+    def encode(self, codes) -> bytes:
+        """The payload of one row of ints (from_array for one element)."""
+        return self.tag + _st(len(codes)).pack(*codes)
+
+    def commute_mask(self, arr, V):
+        """Which rows of arr commute with the row V."""
         return (self.mul_arrays(arr, V) == self.mul_arrays(V, arr)).all(axis=1)
 
 
@@ -179,6 +233,9 @@ class PermKind(Kind):
 
     def images(self, a: bytes) -> tuple[int, ...]:
         return self._s.unpack(a[1:])
+
+    def radices(self):
+        return (self.deg,) * self.deg
 
     def identity(self) -> bytes:
         return self._id
@@ -257,6 +314,9 @@ class MatKind(Kind):
 
     def mat(self, a: bytes) -> tuple[int, ...]:
         return self._s.unpack(a[1:])
+
+    def radices(self):
+        return (self.field.q,) * (self.n * self.n)
 
     def identity(self) -> bytes:
         return self._id
@@ -355,6 +415,9 @@ class SemiKind(Kind):
         (j,) = self._s1.unpack(a[1:3])
         return j, b"M" + a[3:]
 
+    def radices(self):
+        return (self.period,) + self.base.radices()
+
     def identity(self) -> bytes:
         return self.make(self.base.identity(), 0)
 
@@ -426,6 +489,17 @@ class PairKind(Kind):
         (la,) = self._s4.unpack(p[1:5])
         return p[5:5 + la], p[5 + la:]
 
+    def radices(self):
+        return self.left.radices() + self.right.radices()
+
+    def codes(self, p: bytes) -> tuple[int, ...]:
+        a, b = self.split(p)
+        return self.left.codes(a) + self.right.codes(b)
+
+    def encode(self, codes) -> bytes:
+        w = self._w
+        return self.pack(self.left.encode(codes[:w]), self.right.encode(codes[w:]))
+
     def identity(self) -> bytes:
         return self.pack(self.left.identity(), self.right.identity())
 
@@ -490,7 +564,7 @@ class PairKind(Kind):
 
 class CosetKind(Kind):
     """Cosets of a central subgroup, canonicalized to the minimum encoding.
-    A row is a row of the base kind."""
+    A row is the base kind's row of that minimum."""
 
     tag = b"C"
 
@@ -499,6 +573,7 @@ class CosetKind(Kind):
         self.z = tuple(sorted(set(zpayloads)))
         if base.identity() not in self.z:
             raise ConstructionError("central subgroup must contain the identity")
+        self._zrows = base.to_array(self.z)
 
     def canonical(self, raw: bytes) -> bytes:
         mul = self.base.mul
@@ -509,6 +584,15 @@ class CosetKind(Kind):
 
     def rep(self, a: bytes) -> bytes:
         return a[1:]
+
+    def radices(self):
+        return self.base.radices()
+
+    def codes(self, a: bytes) -> tuple[int, ...]:
+        return self.base.codes(a[1:])
+
+    def encode(self, codes) -> bytes:
+        return self.tag + self.base.encode(codes)
 
     def identity(self) -> bytes:
         return self.make(self.base.identity())
@@ -533,32 +617,35 @@ class CosetKind(Kind):
         return self.base.to_array([p[1:] for p in payloads])
 
     def from_array(self, arr):
-        base = self.base
-        best = None
-        for z in self.z:
-            zarr = base.to_array([z])[0]
-            cand = base.from_array(base.mul_arrays(zarr, arr))
-            if best is None:
-                best = cand
-            else:
-                best = [a if a < b else b for a, b in zip(best, cand)]
-        return [self.tag + b for b in best]
+        return [self.tag + b for b in self.base.from_array(arr)]
 
     def mul_arrays(self, A, B):
         return self.base.mul_arrays(A, B)
 
-    def commute_mask(self, payloads, v, arr=None):
+    def canonical_rows(self, arr):
+        # the least key of z x over z in the central subgroup; key order is
+        # payload order, so that is the minimum encoding
+        base = self.base
+        best, low = arr, None
+        for z in self._zrows:
+            cand = base.canonical_rows(base.mul_arrays(z, arr))
+            k = self.keys(cand)
+            if low is None:
+                best, low = cand, k
+            else:
+                take = k < low
+                best = np.where(take[..., None], cand, best)
+                low = np.minimum(low, k)
+        return best
+
+    def commute_mask(self, arr, V):
         # cosets commute when xv = z vx for some z in the central subgroup
         base = self.base
-        if arr is None:
-            arr = self.to_array(payloads)
-        V = self.to_array([v])[0]
         L = self.mul_arrays(arr, V)
         R = self.mul_arrays(V, arr)
         mask = None
-        for z in self.z:
-            zarr = base.to_array([z])[0]
-            eq = (L == base.mul_arrays(zarr, R)).all(axis=1)
+        for z in self._zrows:
+            eq = (L == base.mul_arrays(z, R)).all(axis=1)
             mask = eq if mask is None else (mask | eq)
         return mask
 
@@ -624,56 +711,122 @@ class Element:
 
 
 # ---------------------------------------------------------------------------
-# closure enumeration
+# element tables and closure enumeration
 
 
-def _extend_closure(kind: Kind, elems, index, gens, new, stop) -> list[list[np.ndarray]]:
-    """Grow elems, which holds the identity and is closed under right
-    multiplication by gens, until it is closed under gens + new as well.
+class _Table:
+    """Element rows in first-seen order with their keys, and the keys sorted
+    beside the index of each, so a batch of keys is found by one searchsorted.
+
+    A closure grows a table in place (add); rows and keys are then buffers
+    whose first n entries are in use, trimmed when it is frozen.
+    """
+
+    __slots__ = ("kind", "rows", "keys", "n", "sorted", "perm")
+
+    def __init__(self, kind: Kind, rows):
+        rows = np.asarray(rows, dtype=np.uint16)
+        radices = kind._places()[0]
+        if rows.ndim != 2 or rows.shape[1] != len(radices):
+            raise ConstructionError("element rows do not match the kind's width")
+        if len(rows) and not (rows.max(axis=0) < np.asarray(radices)).all():
+            raise ConstructionError("element row code out of range")
+        self.kind = kind
+        self.rows = rows
+        self.keys = kind.keys(rows)
+        self.n = len(rows)
+        perm = np.argsort(self.keys, kind="stable")
+        self.sorted = self.keys[perm]
+        self.perm = perm.astype(np.int32)
+        if (self.sorted[1:] == self.sorted[:-1]).any():
+            raise ConstructionError("duplicate elements in table")
+
+    def find(self, keys) -> np.ndarray:
+        """The index of each key's element, -1 where it has none."""
+        # sorted needles search faster: each starts near the one before
+        o = np.argsort(keys)
+        pos = np.empty(len(keys), dtype=np.intp)
+        pos[o] = np.searchsorted(self.sorted, keys[o])
+        pos[pos == len(self.sorted)] = 0
+        return np.where(self.sorted[pos] == keys, self.perm[pos], -1)
+
+    def add(self, rows, keys) -> None:
+        """Append rows whose keys are not in the table yet."""
+        n, m = self.n, len(keys)
+        if n + m > len(self.rows):
+            size = max(2 * len(self.rows), n + m)
+            grown = np.empty((size, self.rows.shape[1]), dtype=np.uint16)
+            grown[:n] = self.rows[:n]
+            self.rows = grown
+            self.keys = np.concatenate([self.keys[:n], np.empty(size - n, dtype=np.uint64)])
+        self.rows[n:n + m] = rows
+        self.keys[n:n + m] = keys
+        # merge: the new keys, in order, land at these positions
+        o = np.argsort(keys)
+        at = np.searchsorted(self.sorted, keys[o]) + np.arange(m)
+        kept = np.ones(len(self.sorted) + m, dtype=bool)
+        kept[at] = False
+        merged = np.empty(len(kept), dtype=np.uint64)
+        merged[at] = keys[o]
+        merged[kept] = self.sorted
+        perm = np.empty(len(kept), dtype=np.int32)
+        perm[at] = n + o
+        perm[kept] = self.perm
+        self.sorted, self.perm, self.n = merged, perm, n + m
+
+    def freeze(self) -> "_Table":
+        """Trim the buffers and make every array read-only."""
+        if len(self.rows) != self.n:
+            self.rows = self.rows[:self.n].copy()
+            self.keys = self.keys[:self.n].copy()
+        for a in (self.rows, self.keys, self.sorted, self.perm):
+            a.flags.writeable = False
+        return self
+
+
+def _extend_closure(t: _Table, gens, new, stop) -> list[list[np.ndarray]]:
+    """Grow table t, which holds the identity and is closed under right
+    multiplication by the rows gens, until it is closed under gens + new.
 
     Elements already present are multiplied by new only, the elements this
-    adds by every generator.  elems and index grow in place; CapError when
-    stop(batch) holds for a list of new elements, before they are added.
-    Returns, for each generator g of gens + new, the int32 chunks of
-    index[x g] for x in elems order, from the first element multiplied by g.
+    adds by every generator.  CapError when stop(keys) holds for the keys of
+    a batch of new elements, before they are added.  Returns, for each
+    generator g of gens + new, the int32 chunks of the index of x g for x in
+    table order, from the first element multiplied by g.
     """
-    done = len(elems)
+    kind = t.kind
+    done = t.n
     every = list(gens) + list(new)
     looked: list[list[np.ndarray]] = [[] for _ in every]
     pos = 0
-    while pos < len(elems):
+    while pos < t.n:
         old = pos < done
-        chunk = elems[pos:min(pos + _CHUNK, done) if old else pos + _CHUNK]
-        pos += len(chunk)
-        arr = kind.to_array(chunk)
+        end = min(pos + _CHUNK, done if old else t.n)
+        arr = t.rows[pos:end]
+        pos = end
         for k in range(len(gens) if old else 0, len(every)):
-            prods = kind.mul_all(chunk, every[k], arr=arr)
-            ids = np.fromiter(map(index.get, prods, repeat(-1)), dtype=np.int32,
-                              count=len(prods))
+            prods = kind.canonical_rows(kind.mul_arrays(arr, every[k]))
+            keys = kind.keys(prods)
+            ids = t.find(keys)
             # the products of one generator are distinct, so the missing ones
             # are new and take the next indices in order
             fresh = np.flatnonzero(ids < 0)
-            batch = list(map(prods.__getitem__, fresh.tolist()))
-            if stop(batch):
-                raise CapError(f"closure stopped at {len(elems)} elements")
-            start = len(elems)
-            ids[fresh] = np.arange(start, start + len(batch), dtype=np.int32)
-            index.update(zip(batch, range(start, start + len(batch))))
-            elems.extend(batch)
-            looked[k].append(ids)
+            if fresh.size:
+                if stop(keys[fresh]):
+                    raise CapError(f"closure stopped at {t.n} elements")
+                ids[fresh] = np.arange(t.n, t.n + fresh.size)
+                t.add(prods[fresh], keys[fresh])
+            looked[k].append(ids.astype(np.int32))
     return looked
 
 
 def _mulclose(kind: Kind, gens, cap: int):
-    """BFS closure of generator payloads from the identity: (elems, index,
-    maps), where maps[k][i] is the index of elems[i] gens[k]; CapError past
-    cap."""
-    idp = kind.identity()
-    elems = [idp]
-    index = {idp: 0}
-    looked = _extend_closure(kind, elems, index, [], gens,
-                             lambda batch: len(elems) + len(batch) > cap)
-    return elems, index, [np.concatenate(c) for c in looked]
+    """BFS closure of generator rows from the identity: (table, maps), where
+    maps[k][i] is the index of x gens[k] for the element x at index i;
+    CapError past cap."""
+    t = _Table(kind, kind.to_array([kind.identity()]))
+    looked = _extend_closure(t, [], gens, lambda keys: t.n + len(keys) > cap)
+    return t.freeze(), [np.concatenate(c) for c in looked]
 
 
 def generate(gens, cap: int = DEFAULT_CAP, name: str = "") -> "Group":
@@ -687,28 +840,27 @@ def generate(gens, cap: int = DEFAULT_CAP, name: str = "") -> "Group":
     idp = kind.identity()
     payloads = sorted({g.payload for g in gens} - {idp})
     if not payloads:
-        return Group(kind, [idp], [], name=name)
-    elems, index, maps = _mulclose(kind, payloads, cap)
-    G = Group(kind, elems, payloads, name=name, _index=index)
+        return Group(kind, kind.to_array([idp]), [], name=name)
+    t, maps = _mulclose(kind, kind.to_array(payloads), cap)
+    G = Group(kind, None, payloads, name=name, _table=t)
     G._right = maps
     return G
 
 
-def _greedy_gen_indices(kind: Kind, elems) -> list[int]:
-    """Indices of a small generating set of the group elems, found greedily
-    in element order."""
-    total = len(elems)
+def _greedy_gens(G: "Group") -> list[int]:
+    """Indices of a small generating set of G, found greedily in element
+    order: each is the first element the ones before it do not generate."""
+    n = len(G)
     out: list[int] = []
-    have = {kind.identity()}
-    for i, x in enumerate(elems):
-        if len(have) == total:
-            break
-        if x not in have:
-            out.append(i)
-            closed, _, _ = _mulclose(kind, [elems[j] for j in out], cap=total)
-            have = set(closed)
-    if len(have) != total:
-        raise ConstructionError("could not generate group from its own elements")
+    have = np.zeros(n, dtype=bool)
+    have[0] = True
+    while not have.all():
+        out.append(int(np.argmin(have)))
+        t, _ = _mulclose(G.kind, G.rows[out], cap=n)
+        idx = G._t.find(t.keys)
+        if (idx < 0).any():
+            raise ConstructionError("could not generate group from its own elements")
+        have[idx] = True
     return out
 
 
@@ -719,18 +871,20 @@ def _greedy_gen_indices(kind: Kind, elems) -> list[int]:
 class Group:
     """An explicitly enumerated finite group.
 
-    elems[0] is always the identity.  The element order is part of the
+    rows[i] holds the codes of element i (Kind.to_array) and keys[i] its key
+    (Kind.keys); element 0 is the identity.  The element order is part of the
     contract: rebuilding a group from the same spec gives the same table.
+    Payloads are made on request, by payload(s), element(s) and generators.
     """
 
-    def __init__(self, kind, elems, gens, name="", parent=None, proj=None, _index=None):
-        self.kind = kind
-        self.elems = list(elems)
-        self.index = _index if _index is not None else {p: i for i, p in enumerate(self.elems)}
-        if len(self.index) != len(self.elems):
-            raise ConstructionError("duplicate elements in table")
-        if self.elems[0] != kind.identity():
+    def __init__(self, kind, rows, gens, name="", parent=None, proj=None, _table=None):
+        t = _Table(kind, rows) if _table is None else _table.freeze()
+        if not np.array_equal(t.rows[:1], kind.to_array([kind.identity()])):
             raise ConstructionError("identity must be the first element")
+        self.kind = kind
+        self._t = t
+        self.rows = t.rows
+        self.keys = t.keys
         self.gens = list(gens)
         self.name = name
         self.parent = parent
@@ -739,8 +893,7 @@ class Group:
         self._tree = None
         self._inv = None
         self._center = None
-        self._classes = None
-        self._class_of = None
+        self._cls = None
         self._walks: dict[int, list[bytes]] = {}
         self._conj = None
         self._reduced = None
@@ -749,53 +902,87 @@ class Group:
         self._fullq = None
 
     def __len__(self) -> int:
-        return len(self.elems)
+        return len(self.rows)
 
     def __repr__(self):
         return f"Group({self.name or '?'}, order={len(self)})"
 
+    def payload(self, i: int) -> bytes:
+        return self.kind.encode(self.rows[i].tolist())
+
+    def payloads(self, indices) -> list[bytes]:
+        return self.kind.from_array(self.rows[np.asarray(indices, dtype=np.intp)])
+
     def element(self, i: int) -> Element:
-        return Element(self.kind, self.elems[i])
+        return Element(self.kind, self.payload(i))
 
     def elements(self):
-        return [Element(self.kind, p) for p in self.elems]
+        return [Element(self.kind, p) for p in self.payloads(range(len(self)))]
 
     def generators(self):
         return [Element(self.kind, p) for p in self.gens]
 
+    def lookup(self, p: bytes) -> int:
+        """The index of the element whose payload is p; -1 when p is no
+        payload of an element of this group."""
+        try:
+            codes = self.kind.codes(p)
+        except (ValueError, struct.error):
+            return -1
+        key = self.kind.key(codes)
+        if key < 0:
+            return -1
+        t = self._t
+        key = np.uint64(key)
+        pos = int(t.sorted.searchsorted(key))
+        if pos == len(t.sorted) or t.sorted[pos] != key:
+            return -1
+        # a payload with a foreign tag can have a member's codes
+        return int(t.perm[pos]) if self.kind.encode(codes) == p else -1
+
+    def _index(self, p: bytes) -> int:
+        i = self.lookup(p)
+        if i < 0:
+            raise PcgError("element not in group")
+        return i
+
     def index_of(self, e: Element) -> int:
         if e.kind != self.kind:
             raise PcgError("element kind does not match group")
-        i = self.index.get(e.payload)
-        if i is None:
-            raise PcgError("element not in group")
-        return i
+        return self._index(e.payload)
+
+    def _find_rows(self, rows) -> np.ndarray:
+        """int32 indices of the elements with these canonical rows."""
+        idx = self._t.find(self.kind.keys(rows))
+        if (idx < 0).any():
+            raise PcgError("products leave the element table")
+        return idx.astype(np.int32)
 
     def mul_idx(self, i: int, j: int) -> int:
         if self.parent is not None:
             # a coset's payload is "C" and a parent element's payload, so one
             # product in the parent and proj give the coset of the product
             base = self.kind.base
-            return int(self.proj[self.parent.index[
-                base.mul(self.elems[i][1:], self.elems[j][1:])]])
-        return self.index[self.kind.mul(self.elems[i], self.elems[j])]
+            return int(self.proj[self.parent._index(
+                base.mul(self.payload(i)[1:], self.payload(j)[1:]))])
+        return self._index(self.kind.mul(self.payload(i), self.payload(j)))
 
     def inv_idx(self, i: int) -> int:
         if self.parent is not None:
             base = self.kind.base
-            return int(self.proj[self.parent.index[base.inv(self.elems[i][1:])]])
-        return self.index[self.kind.inv(self.elems[i])]
+            return int(self.proj[self.parent._index(base.inv(self.payload(i)[1:]))])
+        return self._index(self.kind.inv(self.payload(i)))
 
     # -- index maps ---------------------------------------------------------
 
     def right_maps(self) -> list[np.ndarray]:
         """One int32 map per generator g: maps[k][i] is the index of x g for
-        x = elems[i].
+        the element x at index i.
 
         The closure that built the group records them.  A central quotient
         projects its parent's: the coset xZ times gZ is (x g)Z, for the first
         parent generator g behind each quotient generator.  Any other group
-        takes one block product per generator.
+        takes one block product per generator, found by key.
         """
         if self._right is None:
             n = len(self)
@@ -804,19 +991,18 @@ class Group:
                 P, proj = self.parent, self.proj
                 behind = {}
                 for j, g in enumerate(P.gens):
-                    behind.setdefault(int(proj[P.index[g]]), j)
+                    behind.setdefault(int(proj[P._index(g)]), j)
                 pmaps = P.right_maps()
                 for g in self.gens:
                     m = np.empty(n, dtype=np.int32)
-                    m[proj] = proj[pmaps[behind[self.index[g]]]]
+                    m[proj] = proj[pmaps[behind[self._index(g)]]]
                     maps.append(m)
             else:
-                k, index = self.kind, self.index
-                arr = k.to_array(self.elems)
-                for g in self.gens:
-                    prods = k.mul_all(self.elems, g, arr=arr)
-                    maps.append(np.fromiter(map(index.__getitem__, prods),
-                                            dtype=np.int32, count=n))
+                k = self.kind
+                for V in k.to_array(self.gens):
+                    maps.append(np.concatenate([
+                        self._find_rows(k.canonical_rows(k.mul_arrays(self.rows[s:s + _BLOCK], V)))
+                        for s in range(0, n, _BLOCK)]))
             self._right = maps
         return self._right
 
@@ -847,7 +1033,7 @@ class Group:
         return self._tree
 
     def left_maps(self, indices) -> np.ndarray:
-        """L[r][i] is the index of h x for h = elems[indices[r]], x = elems[i].
+        """L[r][i] is the index of h x for h at index indices[r] and x at i.
 
         L[r][0] is h, and along each tree edge from x to x g,
         h (x g) = (h x) g: one gather per step, with no products."""
@@ -860,7 +1046,7 @@ class Group:
         return L.T
 
     def inverse_map(self) -> np.ndarray:
-        """inv[i] is the index of x^-1 for x = elems[i]."""
+        """inv[i] is the index of x^-1 for the element x at index i."""
         if self._inv is None:
             self._index_maps()
         return self._inv
@@ -879,11 +1065,6 @@ class Group:
 
     # -- masks ------------------------------------------------------------
 
-    def block(self, indices):
-        """(payloads, array rows) of the elements at the given indices."""
-        payloads = [self.elems[j] for j in indices]
-        return payloads, self.kind.to_array(payloads)
-
     def commute_mask(self, i: int, subset=None):
         """Boolean mask of elements commuting with element i.
 
@@ -898,16 +1079,16 @@ class Group:
     def center(self) -> tuple[int, ...]:
         """Indices of the central elements: the singleton conjugacy classes."""
         if self._center is None:
-            self._center = tuple(c[0] for c in self.conjugacy_classes() if len(c) == 1)
-        return self._center
+            _, members, starts = self._class_arrays()
+            self._center = members[starts[:-1][np.diff(starts) == 1]]
+        return tuple(self._center.tolist())
 
     def centralizer(self, i: int) -> list[int]:
-        return [int(j) for j in np.flatnonzero(self.commute_mask(i))]
+        return np.flatnonzero(self.commute_mask(i)).tolist()
 
     def is_abelian_subset(self, indices) -> bool:
-        payloads, arr = self.block(indices)
-        return all(self.kind.commute_mask(payloads, p, arr=arr).all()
-                   for p in payloads)
+        rows = self.rows[np.asarray(indices, dtype=np.intp)]
+        return all(self.kind.commute_mask(rows, v).all() for v in rows)
 
     def is_abelian(self) -> bool:
         return len(self.center()) == len(self)
@@ -916,17 +1097,19 @@ class Group:
 
     def conjugation_maps(self) -> list[np.ndarray]:
         """One int32 index map per generator g: maps[k][i] is the index of
-        g^-1 x g for x = elems[i], read off the right-multiplication maps and
-        the tree with no products.  Classes, the centre and the normal
-        closures are read off them."""
+        g^-1 x g for the element x at index i, read off the
+        right-multiplication maps and the tree with no products.  Classes,
+        the centre and the normal closures are read off them."""
         if self._conj is None:
             self._index_maps()
         return self._conj
 
-    def conjugacy_classes(self) -> list[list[int]]:
-        """Orbits of the conjugation maps, each sorted, in order of their
-        smallest element."""
-        if self._classes is None:
+    def _class_arrays(self):
+        """(label, members, starts): element i lies in class label[i], and
+        class c holds members[starts[c]:starts[c + 1]], ascending.  Classes
+        are the orbits of the conjugation maps, in order of their smallest
+        element."""
+        if self._cls is None:
             n = len(self)
             # label every element by the smallest index of its orbit: pull
             # the smaller label along each map, then follow labels to their
@@ -940,23 +1123,34 @@ class Group:
                 if np.array_equal(new, lab):
                     break
                 lab = new
-            order = np.argsort(lab, kind="stable")
-            cuts = np.flatnonzero(np.diff(lab[order])) + 1
-            self._classes = [c.tolist() for c in np.split(order, cuts)]
+            members = np.argsort(lab, kind="stable").astype(np.int32)
+            starts = np.r_[0, np.flatnonzero(np.diff(lab[members])) + 1, n]
             rank = np.empty(n, dtype=np.int32)
-            rank[lab[order[np.r_[0, cuts]]]] = np.arange(len(self._classes))
-            self._class_of = rank[lab].tolist()
-        return self._classes
+            rank[lab[members[starts[:-1]]]] = np.arange(len(starts) - 1)
+            self._cls = (rank[lab], members, starts)
+        return self._cls
+
+    def conjugacy_classes(self) -> list[np.ndarray]:
+        """The classes as int32 index arrays, each ascending, in order of
+        their smallest element."""
+        _, members, starts = self._class_arrays()
+        return np.split(members, starts[1:-1])
 
     def class_of(self, i: int) -> int:
-        self.conjugacy_classes()
-        return self._class_of[i]
+        return int(self._class_arrays()[0][i])
+
+    def _class_rep(self, ci: int) -> int:
+        _, members, starts = self._class_arrays()
+        return int(members[starts[ci]])
+
+    def _class_sizes(self) -> np.ndarray:
+        return np.diff(self._class_arrays()[2])
 
     def _class_walk(self, ci: int) -> list[bytes]:
         """The powers of class ci's first element, memoised."""
         w = self._walks.get(ci)
         if w is None:
-            w = self._walks[ci] = _walk(self.kind, self.elems[self.conjugacy_classes()[ci][0]])
+            w = self._walks[ci] = _walk(self.kind, self.payload(self._class_rep(ci)))
         return w
 
     def class_order(self, ci: int) -> int:
@@ -969,13 +1163,13 @@ class Group:
         """Classes of x^p for x in class ci and each prime p dividing o(x)."""
         w = self._class_walk(ci)
         o = len(w)
-        return [self.class_of(self.index[w[p - 1]])
+        return [self.class_of(self._index(w[p - 1]))
                 for p in range(2, o + 1) if o % p == 0 and _is_prime(p)]
 
     # -- reduction support ---------------------------------------------------
 
     def reduced_vertices(self) -> list[int]:
-        """Non-central elements whose centralizer is non-abelian.
+        """Non-central elements whose centralizer is non-abelian, ascending.
 
         Whether C(x) is abelian is a fact about x's class.  For x non-central,
         z central and p a prime dividing the order of x, it is read off:
@@ -989,21 +1183,23 @@ class Group:
         element order, and each answer is passed on along these facts.
         """
         if self._reduced is None:
-            classes = self.conjugacy_classes()
+            _, members, starts = self._class_arrays()
+            sizes = self._class_sizes()
             k = self.kind
             n = len(self)
-            noncentral = [c for c, cls in enumerate(classes) if len(cls) > 1]
+            noncentral = np.flatnonzero(sizes > 1).tolist()
+            zs = self.payloads(self.center()[1:])
             # up[c]: classes whose centralizer contains C(c); down: the reverse
             up = {c: [] for c in noncentral}
             down = {c: [] for c in noncentral}
             for c in noncentral:
-                x = self.elems[classes[c][0]]
+                x = self.payload(self._class_rep(c))
                 for d in self._power_classes(c):
                     if d in up:
                         up[c].append(d)
                         down[d].append(c)
-                for z in self.center()[1:]:
-                    d = self.class_of(self.index[k.mul(x, self.elems[z])])
+                for z in zs:
+                    d = self.class_of(self._index(k.mul(x, z)))
                     up[c].append(d)
                     down[c].append(d)
             abelian: dict[int, bool] = {}
@@ -1020,14 +1216,15 @@ class Group:
                     stack.extend(down[c] if ab else up[c])
 
             for c in noncentral:
-                if _forced_abelian(n // len(classes[c])):
+                if _forced_abelian(n // int(sizes[c])):
                     settle(c, True)
             for c in sorted(noncentral, key=lambda c: (self.class_order(c), c)):
                 if c not in abelian:
-                    settle(c, self.is_abelian_subset(self.centralizer(classes[c][0])))
-            self._reduced = sorted(i for c in noncentral if not abelian[c]
-                                   for i in classes[c])
-        return self._reduced
+                    cent = np.flatnonzero(self.commute_mask(self._class_rep(c)))
+                    settle(c, self.is_abelian_subset(cent))
+            keep = [members[starts[c]:starts[c + 1]] for c in noncentral if not abelian[c]]
+            self._reduced = np.sort(np.concatenate(keep)) if keep else members[:0]
+        return self._reduced.tolist()
 
     def is_ac_group(self) -> bool:
         """True when every non-central element has an abelian centralizer."""
@@ -1044,34 +1241,37 @@ class Group:
         empty.  N is a union of classes, so once the classes met hold more
         than |G|/2 elements, N is G (Lagrange): the closure stops, giving |G|.
         """
-        k, n, index = self.kind, len(self), self.index
-        unmet = [0] + [len(c) for c in self.conjugacy_classes()[1:]]
-        of = self._class_of
-        left = n // 2 - 1  # the identity's class is met from the start
+        n = len(self)
+        label = self._class_arrays()[0]
+        unmet = self._class_sizes()
+        unmet[0] = 0  # the identity's class is met from the start
+        left = n // 2 - 1
 
-        def heavy(batch):
+        def heavy(keys):
             nonlocal left
-            for c in map(of.__getitem__, map(index.__getitem__, batch)):
-                left -= unmet[c]
-                unmet[c] = 0
+            met = np.zeros(len(unmet), dtype=bool)
+            met[label[self._t.find(keys)]] = True
+            left -= int(unmet[met].sum())
+            unmet[met] = 0
             return left < 0
 
-        idp = k.identity()
-        elems, found = [idp], {idp: 0}
-        gens: list[bytes] = []
-        todo = sorted(set(seeds) - {idp}, reverse=True)
+        t = _Table(self.kind, self.rows[:1])
+        gens: list[np.ndarray] = []
+        # seeds in payload order, which is key order
+        todo = sorted({self._index(s) for s in seeds} - {0},
+                      key=self.keys.__getitem__, reverse=True)
         maps = self.conjugation_maps()
         try:
             while todo:
                 s = todo.pop()
-                if s in found:
+                if t.find(self.keys[s:s + 1])[0] >= 0:
                     continue
-                _extend_closure(k, elems, found, gens, [s], heavy)
-                gens.append(s)
-                todo.extend(self.elems[int(m[index[s]])] for m in maps)
+                _extend_closure(t, gens, [self.rows[s]], heavy)
+                gens.append(self.rows[s])
+                todo.extend(int(m[s]) for m in maps)
         except CapError:
             return n
-        return len(elems)
+        return t.n
 
     def is_perfect_group(self) -> bool:
         """True when the normal closure of generator commutators is everything."""
@@ -1110,18 +1310,18 @@ class Group:
         rational class, whose classes need no closure of their own.
         """
         if self._quasisimple is None:
-            classes = self.conjugacy_classes()
+            sizes = self._class_sizes()
 
             def seeds():
                 covered = set()
-                for c, cls in enumerate(classes):
-                    if c in covered or len(cls) == 1 or any(
-                            len(classes[d]) > 1 for d in self._power_classes(c)):
+                for c in range(len(sizes)):
+                    if c in covered or sizes[c] == 1 or any(
+                            sizes[d] > 1 for d in self._power_classes(c)):
                         continue
                     w = self._class_walk(c)
-                    covered.update(self.class_of(self.index[w[k - 1]])
-                                   for k in range(1, len(w) + 1) if gcd(k, len(w)) == 1)
-                    yield self.elems[cls[0]]
+                    covered.update(self.class_of(self._index(w[k - 1]))
+                                   for k in range(1, len(w) + 1) if math.gcd(k, len(w)) == 1)
+                    yield w[0]
 
             self._quasisimple = not self.is_abelian() and all(
                 self._normal_closure_size([x]) == len(self) for x in seeds())
@@ -1131,10 +1331,22 @@ class Group:
 # ---------------------------------------------------------------------------
 # quotients and products
 
+# what a quotient by the trivial subgroup takes from its cover: it is the
+# cover with every element x relabelled as the coset {x}
+_SHARED = ("_right", "_tree", "_inv", "_conj", "_cls", "_center", "_reduced",
+           "_perfect", "_quasisimple")
+
 
 def central_quotient(G: Group, central_indices) -> Group:
-    """G modulo a central subgroup given by element indices."""
-    zp = sorted(G.elems[i] for i in central_indices)
+    """G modulo a central subgroup given by element indices.
+
+    A coset is represented by its member of least key, found through the
+    left maps of the subgroup; cosets are numbered in order of first
+    appearance in G.  Modulo the trivial subgroup the quotient shares G's
+    element table and index maps, and only its payloads differ.
+    """
+    zi = sorted({int(i) for i in central_indices})
+    zp = sorted(G.payloads(zi))
     k = G.kind
     idp = k.identity()
     if idp not in zp:
@@ -1148,39 +1360,43 @@ def central_quotient(G: Group, central_indices) -> Group:
             if k.mul(a, b) not in zset:
                 raise ConstructionError("central subset is not a subgroup")
     ck = CosetKind(k, zp)
-    canon = ck.from_array(k.to_array(G.elems))
-    elems = []
-    index = {}
-    proj = []
-    for c in canon:
-        j = index.get(c)
-        if j is None:
-            j = len(elems)
-            index[c] = j
-            elems.append(c)
-        proj.append(j)
-    if len(elems) * len(zp) != len(G):
+    n = len(G)
+    if len(zp) == 1:
+        G._class_arrays()
+        Q = Group(ck, None, [ck.tag + g for g in G.gens], parent=G,
+                  proj=np.arange(n, dtype=np.int32), _table=G._t)
+        for a in _SHARED:
+            setattr(Q, a, getattr(G, a))
+        return Q
+    # column x of L lists the coset of x: its least key is the coset's
+    # representative, its least index the coset's first appearance
+    L = G.left_maps(zi)
+    rep = L[G.keys[L].argmin(axis=0), np.arange(n)]
+    first = L.min(axis=0)
+    firsts = np.flatnonzero(first == np.arange(n))
+    if len(firsts) * len(zp) != n:
         raise ConstructionError("quotient size mismatch")
+    rank = np.empty(n, dtype=np.int32)
+    rank[firsts] = np.arange(len(firsts))
+    proj = rank[first]
     gens = []
-    seen = {ck.identity()}
     for g in G.gens:
-        c = canon[G.index[g]]
-        if c not in seen:
-            seen.add(c)
+        c = int(proj[G._index(g)])
+        if c and c not in gens:
             gens.append(c)
-    return Group(ck, elems, gens, parent=G, proj=np.asarray(proj, dtype=np.int32),
-                 _index=index)
+    rows = G.rows[rep[firsts]]
+    return Group(ck, rows, ck.from_array(rows[gens]), parent=G, proj=proj)
 
 
 def direct_product(A: Group, B: Group, cap: int = DEFAULT_CAP, name: str = "") -> Group:
     pk = PairKind(A.kind, B.kind)
     if len(A) * len(B) > cap:
         raise CapError(f"direct product order {len(A) * len(B)} exceeds cap {cap}")
-    elems = [pk.pack(a, b) for a in A.elems for b in B.elems]
+    rows = np.hstack([np.repeat(A.rows, len(B), axis=0), np.tile(B.rows, (len(A), 1))])
     ida = A.kind.identity()
     idb = B.kind.identity()
     gens = [pk.pack(g, idb) for g in A.gens] + [pk.pack(ida, g) for g in B.gens]
-    return Group(pk, elems, gens, name=name)
+    return Group(pk, rows, gens, name=name)
 
 
 def fiber_product(A: Group, B: Group, QA: Group, QB: Group, iso, name: str = "") -> Group:
@@ -1194,33 +1410,22 @@ def fiber_product(A: Group, B: Group, QA: Group, QB: Group, iso, name: str = "")
     if iso[0] != 0:
         raise ConstructionError("alignment must send identity to identity")
     pk = PairKind(A.kind, B.kind)
-    buckets: list[list[int]] = [[] for _ in range(len(QB))]
-    for bi in range(len(B)):
-        buckets[QB.proj[bi]].append(bi)
-    ker = len(buckets[0])
-    elems = []
-    for ai in range(len(A)):
-        t = iso[QA.proj[ai]]
-        for bi in buckets[t]:
-            elems.append(pk.pack(A.elems[ai], B.elems[bi]))
-    gens = [elems[i] for i in _greedy_gen_indices(pk, elems)]
-    G = Group(pk, elems, gens, name=name)
-    if len(G) != len(A) * ker:
+    ker = int(np.count_nonzero(QB.proj == 0))
+    if len(B) != len(QB) * ker:
         raise ConstructionError("fiber product size mismatch")
+    # the B indices of each coset of QB, ascending, one row per coset
+    buckets = np.argsort(QB.proj, kind="stable").reshape(len(QB), ker)
+    left = np.repeat(np.arange(len(A)), ker)
+    right = buckets[np.asarray(iso)[QA.proj]].ravel()
+    G = Group(pk, np.hstack([A.rows[left], B.rows[right]]), [], name=name)
+    G.gens = G.payloads(_greedy_gens(G))
     # surjectivity onto both factors and centrality of the projection kernels
-    seen_b = set()
-    for p in G.elems:
-        seen_b.add(pk.split(p)[1])
-    if len(seen_b) != len(B):
+    if np.bincount(right, minlength=len(B)).min() == 0:
         raise ConstructionError("fiber product does not surject onto the right factor")
-    ida = A.kind.identity()
-    idb = B.kind.identity()
-    for p in G.elems:
-        left, right = pk.split(p)
-        if left == ida or right == idb:
-            for g in G.gens:
-                if pk.mul(p, g) != pk.mul(g, p):
-                    raise ConstructionError("projection kernel is not central")
+    kernels = G.rows[(left == 0) | (right == 0)]
+    for V in pk.to_array(G.gens):
+        if not pk.commute_mask(kernels, V).all():
+            raise ConstructionError("projection kernel is not central")
     return G
 
 
@@ -1237,14 +1442,16 @@ def quotient_align(Q1: Group, Q2: Group, budget: int = 10_000_000):
     n = len(Q1)
     if len(Q2) != n:
         return None
-    c1 = Q1.conjugacy_classes()
-    c2 = Q2.conjugacy_classes()
-    fp1 = sorted((len(c), Q1.class_order(i)) for i, c in enumerate(c1))
-    fp2 = sorted((len(c), Q2.class_order(i)) for i, c in enumerate(c2))
-    if fp1 != fp2:
+
+    def classes(Q):
+        # (order, size) of each class
+        return [(Q.class_order(c), int(s)) for c, s in enumerate(Q._class_sizes())]
+
+    fp2 = classes(Q2)
+    if sorted(classes(Q1)) != sorted(fp2):
         return None
 
-    gens = _greedy_gen_indices(Q1.kind, Q1.elems)
+    gens = _greedy_gens(Q1)
     ngens = len(gens)
 
     def right(Q, hs):
@@ -1270,14 +1477,15 @@ def quotient_align(Q1: Group, Q2: Group, budget: int = 10_000_000):
                 seen[y] = True
                 order_list.append(y)
 
-    def fingerprint(Q, i):
-        ci = Q.class_of(i)
-        return (Q.class_order(ci), len(Q.conjugacy_classes()[ci]))
-
+    # the candidate images of a generator: Q2's elements of its class order
+    # and class size
+    label2 = Q2._class_arrays()[0]
     cands = []
     for g in gens:
-        f = fingerprint(Q1, g)
-        cands.append([j for j in range(n) if fingerprint(Q2, j) == f])
+        ci = Q1.class_of(g)
+        f = (Q1.class_order(ci), int(Q1._class_sizes()[ci]))
+        fits = np.array([fp == f for fp in fp2])
+        cands.append(np.flatnonzero(fits[label2]).tolist())
 
     budget_left = budget
 

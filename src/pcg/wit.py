@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cg import CommGraph
 from .errors import ConstructionError, GuardError, PcgError
 from .gf import ff_make, field_of_size
@@ -80,8 +82,8 @@ def decode_indices(G: Group, spec: str, encodings) -> list[int]:
             p = G.kind.parse_render(enc)
         except ValueError:
             raise PcgError(f"malformed element encoding {enc!r}") from None
-        i = G.index.get(p)
-        if i is None:
+        i = G.lookup(p)
+        if i < 0:
             raise PcgError(f"{enc} is not an element of {spec}")
         out.append(i)
     return out
@@ -109,13 +111,13 @@ def locate(et: ElementTuple, graph: CommGraph) -> tuple[int, ...]:
     G = graph.group
     if et.elements[0].kind != G.kind:
         raise PcgError("element kind does not match the graph's group")
-    pos = {G.elems[vid]: u for u, vid in enumerate(graph.vids)}
+    vids = np.asarray(graph.vids)
     out = []
     for e in et.elements:
-        u = pos.get(e.payload)
-        if u is None:
+        u = np.flatnonzero(vids == G.lookup(e.payload))
+        if not u.size:
             raise PcgError(f"{e.render()} is not a vertex of the graph")
-        out.append(u)
+        out.append(int(u[0]))
     return tuple(out)
 
 
@@ -129,7 +131,7 @@ def tuple_from_vertices(graph: CommGraph, vertices, kind: str) -> ElementTuple:
     if graph.group is None or graph.vids is None:
         raise PcgError("graph has no group provenance to lift vertices from")
     G = graph.group
-    elems = tuple(Element(G.kind, G.elems[graph.vids[v]]) for v in vertices)
+    elems = tuple(G.element(graph.vids[v]) for v in vertices)
     return _checked(ElementTuple(graph.spec, kind, elems), f"lift from {graph.spec or 'graph'}")
 
 

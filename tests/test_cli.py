@@ -93,7 +93,7 @@ def test_certificate_outside_reduced_graph_is_rejected():
     G = build("alt:5")
     fives = [i for i in range(len(G)) if G.element_order(i) == 5][:5]
     c = _cert(spec="alt:5", encodings=tuple(
-        G.kind.render(G.elems[i]) for i in fives))
+        G.kind.render(G.payload(i)) for i in fives))
     with pytest.raises(PcgError, match="not a vertex"):
         verify_certificate(c)
 
@@ -104,7 +104,7 @@ def test_certificate_outside_reduced_graph_is_rejected():
 ])
 def test_malformed_certificate_encoding_is_a_pcg_error(spec, bad):
     G = build(spec)
-    encodings = [G.kind.render(G.elems[i]) for i in G.reduced_vertices()[:5]]
+    encodings = [G.kind.render(G.payload(i)) for i in G.reduced_vertices()[:5]]
     encodings[2] = bad
     with pytest.raises(PcgError, match="malformed"):
         verify_certificate(_cert(spec=spec, encodings=tuple(encodings)))

@@ -1,10 +1,12 @@
 """Group elements, closure enumeration, and structural predicates."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
+from pcg import classify
 from pcg.errors import CapError, ConstructionError, PcgError
 from pcg.gf import _is_prime, ff_make, field_of_size
 from pcg.grp import (
@@ -205,7 +207,7 @@ def test_power_classes_match_repeated_multiplication(spec):
             powers.append(powers[-1] * x)
         o = len(powers)
         assert G.class_order(ci) == o
-        want = [G.class_of(G.index[powers[p - 1].payload])
+        want = [G.class_of(G.index_of(powers[p - 1]))
                 for p in range(2, o + 1) if o % p == 0 and _is_prime(p)]
         assert G._power_classes(ci) == want
 
@@ -238,24 +240,29 @@ def test_commute_mask_against_bruteforce(spec, kind):
         for j in range(len(G)):
             expected = ei.commutes_with(G.element(j))
             assert bool(mask[j]) == expected
+        assert np.array_equal(G.kind.commute_mask(G.rows, G.rows[i]), mask)
     k = G.kind
-    for v in G.elems[1:4]:
-        assert k.mul_all(G.elems, v) == [k.mul(x, v) for x in G.elems]
+    elems = G.payloads(range(len(G)))
+    for v, V in zip(elems[1:4], G.rows[1:4]):
+        prods = k.from_array(k.canonical_rows(k.mul_arrays(G.rows, V)))
+        assert prods == [k.mul(x, v) for x in elems]
 
 
 @pytest.mark.parametrize("spec, kind", _KIND_SPECS)
 def test_array_rows_roundtrip(spec, kind):
     G = build(spec)
     k = G.kind
-    rows = k.to_array(G.elems)
+    elems = G.payloads(range(len(G)))
+    rows = k.to_array(elems)
     assert rows.dtype == np.uint16 and rows.shape[0] == len(G)
-    assert k.from_array(rows) == G.elems
+    assert np.array_equal(rows, G.rows)
+    assert k.from_array(rows) == elems
     # no payloads: a (0, width) block, and empty products and masks
     empty = k.to_array([])
     assert empty.dtype == np.uint16 and empty.shape == (0, rows.shape[1])
     assert k.from_array(empty) == []
-    assert k.mul_all([], G.elems[1]) == []
-    assert k.commute_mask([], G.elems[1]).shape == (0,)
+    assert k.from_array(k.canonical_rows(k.mul_arrays(empty, G.rows[1]))) == []
+    assert k.commute_mask(empty, G.rows[1]).shape == (0,)
 
 
 @pytest.mark.parametrize("spec", [s for s, _ in _KIND_SPECS] + ["sl:3:4", "sz:8"])
@@ -263,19 +270,20 @@ def test_index_maps_match_scalar_products(spec):
     # right, left, inverse and conjugation maps against one product each:
     # every row of small groups, a sample of rows of larger ones
     G = build(spec)
-    k, index, n = G.kind, G.index, len(G)
+    k, index, n = G.kind, G.lookup, len(G)
+    elems = G.payloads(range(n))
     rows = range(n) if n <= 1000 else random.Random(n).sample(range(n), 150)
     inv = G.inverse_map()
     hs = [0, 1, n // 2, n - 1]
     L = G.left_maps(hs)
     for i in rows:
-        x = G.elems[i]
-        assert inv[i] == index[k.inv(x)]
+        x = elems[i]
+        assert inv[i] == index(k.inv(x))
         for g, R, C in zip(G.gens, G.right_maps(), G.conjugation_maps()):
-            assert R[i] == index[k.mul(x, g)]
-            assert C[i] == index[k.mul(k.mul(k.inv(g), x), g)]
+            assert R[i] == index(k.mul(x, g))
+            assert C[i] == index(k.mul(k.mul(k.inv(g), x), g))
         for h, Lh in zip(hs, L):
-            assert Lh[i] == index[k.mul(G.elems[h], x)]
+            assert Lh[i] == index(k.mul(elems[h], x))
 
 
 @pytest.mark.parametrize("spec", ["sl:3:4", "sz:8", "alt:8"])
@@ -284,7 +292,7 @@ def test_recorded_right_maps_match_products(spec):
     # group without them computes the maps from one block product each
     G = build(spec)
     assert G._right is not None
-    fresh = Group(G.kind, G.elems, G.gens)
+    fresh = Group(G.kind, G.rows, G.gens)
     for a, b in zip(G.right_maps() + G.conjugation_maps() + [G.inverse_map()],
                     fresh.right_maps() + fresh.conjugation_maps() + [fresh.inverse_map()]):
         assert np.array_equal(a, b)
@@ -294,7 +302,7 @@ def test_index_maps_need_a_generating_set():
     # with one of sl:3:4's generators the tree reaches a cyclic subgroup only;
     # its orbits would not be G's classes
     G = build("sl:3:4")
-    H = Group(G.kind, G.elems, G.gens[:1])
+    H = Group(G.kind, G.rows, G.gens[:1])
     with pytest.raises(PcgError, match="generators reach"):
         H.conjugacy_classes()
 
@@ -398,18 +406,18 @@ def test_quotient_index_products_match_coset_products(spec):
     rng = random.Random(7)
     for _ in range(60):
         i, j = rng.randrange(len(Q)), rng.randrange(len(Q))
-        assert Q.mul_idx(i, j) == Q.index[k.mul(Q.elems[i], Q.elems[j])]
-        assert Q.inv_idx(i) == Q.index[k.inv(Q.elems[i])]
+        assert Q.mul_idx(i, j) == Q.lookup(k.mul(Q.payload(i), Q.payload(j)))
+        assert Q.inv_idx(i) == Q.lookup(k.inv(Q.payload(i)))
 
 
 def test_central_quotient_of_small_group_matches_make():
     Q = build("cq(sl:2:3)")
     G = Q.parent
     ck = Q.kind
-    canon = [ck.make(p) for p in G.elems]
+    canon = [ck.make(p) for p in G.payloads(range(len(G)))]
     assert len(Q) == 12
-    assert Q.elems == list(dict.fromkeys(canon))
-    assert [Q.elems[j] for j in Q.proj] == canon
+    assert Q.payloads(range(len(Q))) == list(dict.fromkeys(canon))
+    assert Q.payloads(Q.proj) == canon
 
 
 def test_reduced_vertices():
@@ -445,7 +453,7 @@ def test_center_is_intersection_of_generator_masks(spec):
     G = build(spec)
     mask = np.ones(len(G), dtype=bool)
     for g in G.gens:
-        mask &= G.commute_mask(G.index[g])
+        mask &= G.commute_mask(G.lookup(g))
     assert G.center() == tuple(np.flatnonzero(mask))
 
 
@@ -455,11 +463,12 @@ def test_projected_quotient_maps_match_products(spec):
     # quotient without a parent computes them from products
     Q = build(spec)
     assert Q.parent is not None
-    fresh = Group(Q.kind, Q.elems, Q.gens)
+    fresh = Group(Q.kind, Q.rows, Q.gens)
     assert [m.tolist() for m in Q.right_maps()] == [m.tolist() for m in fresh.right_maps()]
     assert [m.tolist() for m in Q.conjugation_maps()] == [
         m.tolist() for m in fresh.conjugation_maps()]
-    assert Q.conjugacy_classes() == fresh.conjugacy_classes()
+    assert [c.tolist() for c in Q.conjugacy_classes()] == [
+        c.tolist() for c in fresh.conjugacy_classes()]
     assert Q.center() == fresh.center()
 
 
@@ -472,12 +481,13 @@ def _closure_from_identity(G, seeds):
         return 1
     while True:
         try:
-            elems, index, _ = _mulclose(k, seeds, cap=n // 2)
+            t, _ = _mulclose(k, k.to_array(seeds), cap=n // 2)
         except CapError:
             return n
-        new = {k.mul(k.mul(k.inv(g), s), g) for s in seeds for g in G.gens} - index.keys()
+        new = {k.mul(k.mul(k.inv(g), s), g) for s in seeds for g in G.gens} - set(
+            k.from_array(t.rows))
         if not new:
-            return len(elems)
+            return len(t.rows)
         seeds = sorted(set(seeds) | new)
 
 
@@ -486,7 +496,7 @@ def _closure_from_identity(G, seeds):
 ])
 def test_normal_closure_matches_restart_from_identity(spec):
     G = build(spec)
-    reps = [G.elems[cls[0]] for cls in G.conjugacy_classes()]
+    reps = G.payloads([cls[0] for cls in G.conjugacy_classes()])
     for seeds in [[r] for r in reps] + list(zip(reps[1:], reps[2:])):
         assert G._normal_closure_size(seeds) == _closure_from_identity(G, seeds)
 
@@ -589,7 +599,7 @@ def test_quasisimplicity_closes_one_class_per_rational_class(spec, monkeypatch):
     # sl:3:4 has 16 classes with a central prime power and fib(3a6,sl:2:9)
     # 19; only the minimal ones, one per rational class, are closed
     B = build(spec)
-    G = Group(B.kind, B.elems, B.gens)
+    G = Group(B.kind, B.rows, B.gens)
     calls = []
     closure = Group._normal_closure_size
 
@@ -605,7 +615,7 @@ def test_quasisimplicity_closes_one_class_per_rational_class(spec, monkeypatch):
 def test_quasisimplicity_builds_no_quotient():
     for spec in ("sl:2:5", "3a6"):
         B = build(spec)
-        G = Group(B.kind, B.elems, B.gens)
+        G = Group(B.kind, B.rows, B.gens)
         assert G.is_quasisimple()
         assert G._fullq is None and G._perfect is None
 
@@ -679,3 +689,84 @@ def test_index_of_foreign_element_fails():
         sym3.index_of(outside)
     # right degree but not needed: identity is present
     assert sym3.index_of(Element(k, k.identity())) >= 0
+
+
+# one group of each kind: permutations, matrices, semilinear pairs, direct
+# and fiber products, cosets
+_KEY_SPECS = ["sym:6", "sl:3:4", "aut-sl2-8", "prod(sym:3,sym:3,sym:3)",
+              "fib(3a6,sl:2:9)", "psl:3:4"]
+
+
+@pytest.mark.parametrize("spec", _KEY_SPECS)
+def test_keys_order_elements_as_payload_bytes(spec):
+    G = build(spec)
+    payloads = G.payloads(range(len(G)))
+    assert sorted(range(len(G)), key=payloads.__getitem__) == np.argsort(
+        G.keys, kind="stable").tolist()
+    assert np.array_equal(G.kind.keys(G.kind.to_array(payloads)), G.keys)
+    assert [G.lookup(p) for p in payloads] == list(range(len(G)))
+    assert [G.payload(i) for i in range(0, len(G), 97)] == payloads[::97]
+
+
+@pytest.mark.parametrize("spec", _KEY_SPECS)
+def test_lookup_rejects_foreign_payloads(spec):
+    G = build(spec)
+    k = G.kind
+    members = set(G.payloads(range(len(G))))
+    radices = k.radices()
+    # rows of in-range codes, members or not
+    rng = random.Random(len(G))
+    for _ in range(200):
+        p = k.encode([rng.randrange(r) for r in radices])
+        assert (G.lookup(p) >= 0) == (p in members)
+    # a member's key, spelt with an out-of-range last code
+    x = next(c for c in map(k.codes, sorted(members)) if c[-2] > 0)
+    alias = k.encode(x[:-2] + (x[-2] - 1, x[-1] + radices[-1]))
+    assert k.key(k.codes(alias)) == -1 and G.lookup(alias) == -1
+    # another tag, a short payload, another kind's identity
+    p = G.payload(len(G) - 1)
+    for foreign in (b"Z" + p[1:], p[:-1], b"", PermKind(7).identity()):
+        assert G.lookup(foreign) == -1
+    with pytest.raises(PcgError):
+        G.index_of(Element(k, b"Z" + p[1:]))
+
+
+def test_keys_wider_than_64_bits_are_refused():
+    k = PermKind(20)  # 20^20 > 2^64 keys
+    with pytest.raises(ConstructionError, match="64 bits"):
+        generate([Element(k, k.from_cycles((1, 2)))])
+    with pytest.raises(ConstructionError, match="64 bits"):
+        Group(k, k.to_array([k.identity()]), [])
+    assert len(generate([Element(PermKind(16), PermKind(16).from_cycles((1, 2)))])) == 2
+    # the widest atom the guards admit: 16 codes over GF(8)
+    assert math.prod(build("sz:8").kind.radices()) == 1 << 48
+
+
+def test_groups_hold_no_per_element_objects():
+    # lists, tuples, dicts and sets are per-class or per-generator at most
+    classify.analyze("psl:3:4")
+    Q = build("psl:3:4")
+    G = Q.parent
+    assert G is build("sl:3:4")
+    for H in (G, Q):
+        H.conjugacy_classes()
+        H.center()
+        H.reduced_vertices()
+        values = list(vars(H).values())
+        values += [getattr(v, a) for v in values for a in getattr(type(v), "__slots__", ())]
+        for v in values:
+            if isinstance(v, (list, tuple, dict, set)):
+                assert len(v) < len(H), (H, type(v), len(v))
+
+
+@pytest.mark.parametrize("spec", ["psu:3:3", "psl:3:3", "cq(sl:2:4)"])
+def test_quotient_by_trivial_centre_shares_its_cover(spec):
+    Q = build(spec)
+    G = Q.parent
+    assert G.center() == (0,)
+    assert np.array_equal(Q.proj, np.arange(len(G)))
+    assert Q.rows is G.rows and Q.keys is G.keys
+    assert all(a is b for a, b in zip(Q.right_maps(), G.right_maps()))
+    assert all(a is b for a, b in zip(Q._class_arrays(), G._class_arrays()))
+    assert Q.payloads(range(len(Q))) == [b"C" + p for p in G.payloads(range(len(G)))]
+    assert not G.rows.flags.writeable and not G.keys.flags.writeable
