@@ -15,13 +15,18 @@ A hole or antihole of length >= 5 has no universal or simplicial vertex and
 no two twins, so one soundness argument covers the group-level reductions
 and the graph-level ones alike.
 
-Adjacency rows are arbitrary-width python-int bitsets; vertex order follows
-group element order, so rebuilding a graph from the same spec reproduces it
-bit for bit.  Both vertex sets are unions of conjugacy classes, and
-conjugation is a graph automorphism: one commuting mask is computed per
-class, giving its first vertex's neighbour index array, and every other
-vertex's array is that array transported along the generator conjugation
-maps, one gather per vertex.  Each row is packed once from its array.
+Adjacency is one CSR block of neighbour index arrays: int64 offsets and
+int32 indices, each vertex's array ascending.  Vertex order follows group
+element order, so rebuilding a graph from the same spec reproduces it
+exactly.  Both vertex sets are unions of conjugacy classes, and conjugation
+is a graph automorphism: one commuting mask is computed per class, giving
+its first vertex's array, and every other vertex's array is that array
+transported along the generator conjugation maps, one gather per vertex.
+A class's arrays all have one length, so they are sorted as one block.
+Twin collapse and DIMACS export read the arrays.  Bitset rows
+(arbitrary-width python ints), which the Berge search needs, are packed
+from the arrays only when a caller reads them, which on the analyze path is
+for the collapsed graph alone.
 """
 
 from __future__ import annotations
@@ -33,31 +38,55 @@ from .grp import Group
 
 FULL_VERTEX_GUARD = 30_000
 REDUCED_VERTEX_GUARD = 100_000
-_SUB_BLOCK = 128  # rows compacted together by _subrows
+_SUB_BLOCK = 128  # rows packed or compacted together by _pack and _subrows
 
 
 class CommGraph:
     """Immutable undirected graph with optional group provenance.
 
-    rows[u] is a bitset of the neighbors of u (bit u itself always clear).
-    vids maps vertex id to an element index in the source group; group is the
-    Group itself when available.  Graphs built from a group, their induced
-    subgraphs and twin collapses, and the cached graphs `analyze` loads
-    (cli._load_or_build_cached decodes the file's vertex table against the
-    spec's group) carry both; complements and bare DIMACS reads, including
-    the graph cli.read_cache returns, have neither.
+    A graph is given by its bitset rows or by its neighbour arrays, and
+    derives the other when a caller first reads it.  rows[u] is a bitset of
+    the neighbors of u (bit u itself always clear); csr is (offsets,
+    indices), the neighbours of u being indices[offsets[u]:offsets[u + 1]],
+    ascending.  vids maps vertex id to an element index in the source group;
+    group is the Group itself when available.  Graphs built from a group,
+    their induced subgraphs and twin collapses, and the cached graphs
+    `analyze` loads (cli._load_or_build_cached decodes the file's vertex
+    table against the spec's group) carry both; complements and bare DIMACS
+    reads, including the graph cli.read_cache returns, have neither.
     """
 
-    __slots__ = ("n", "rows", "spec", "vids", "group")
+    __slots__ = ("n", "_rows", "_csr", "spec", "vids", "group")
 
-    def __init__(self, n, rows, spec="", vids=None, group=None):
+    def __init__(self, n, rows=None, spec="", vids=None, group=None, csr=None):
         self.n = n
-        self.rows = list(rows)
+        self._rows = None if rows is None else list(rows)
+        self._csr = None
         self.spec = spec
         self.vids = list(vids) if vids is not None else None
         self.group = group
-        if len(self.rows) != n:
+        if (rows is None) == (csr is None):
+            raise PcgError("a graph is given by its rows or by its arrays")
+        if rows is not None and len(self._rows) != n:
             raise PcgError("row count does not match vertex count")
+        if csr is not None:
+            off, idx = (np.asarray(a) for a in csr)
+            if len(off) != n + 1 or off[-1] != len(idx):
+                raise PcgError("neighbour arrays do not match vertex count")
+            off.flags.writeable = idx.flags.writeable = False
+            self._csr = (off, idx)
+
+    @property
+    def rows(self) -> list[int]:
+        if self._rows is None:
+            self._rows = _pack(*self._csr, self.n)
+        return self._rows
+
+    @property
+    def csr(self):
+        if self._csr is None:
+            self._csr = _unpack(self._rows, self.n)
+        return self._csr
 
     # -- structure ---------------------------------------------------------
 
@@ -71,6 +100,8 @@ class CommGraph:
         return _bits(self.rows[u])
 
     def edge_count(self) -> int:
+        if self._csr is not None:
+            return len(self._csr[1]) // 2
         return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self):
@@ -80,9 +111,16 @@ class CommGraph:
                 yield u, u + 1 + off
 
     def render_vertex(self, u: int) -> str:
+        return next(self.render_vertices([u]))
+
+    def render_vertices(self, vertices=None):
+        """The element encodings of the given vertices (of every vertex, in
+        vertex order, by default), rendered lazily from one batch of
+        payloads."""
         if self.group is None or self.vids is None:
             raise PcgError("graph has no group provenance to render from")
-        return self.group.element(self.vids[u]).render()
+        vids = self.vids if vertices is None else [self.vids[u] for u in vertices]
+        return map(self.group.kind.render, self.group.payloads(vids))
 
     def __eq__(self, other):
         return (
@@ -107,8 +145,58 @@ def _bits(x: int) -> list[int]:
     return out
 
 
-def _mask_to_bitset(mask) -> int:
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+def _sources(off) -> np.ndarray:
+    """The vertex of each entry of the arrays with these offsets."""
+    return np.repeat(np.arange(len(off) - 1, dtype=np.int32), np.diff(off))
+
+
+def _offsets(n, src) -> np.ndarray:
+    """CSR offsets on n vertices for entries whose vertices src ascend."""
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=off[1:])
+    return off
+
+
+def _csr(n, src, dst):
+    """(offsets, indices) of the pairs (src[i], dst[i]) on n vertices, each
+    vertex's array ascending.  One stable sort of (src, dst) keys, which is
+    linear on input made of a few ascending runs, as _twin_keep's is."""
+    key = src.astype(np.int64)
+    key <<= 32
+    key |= dst
+    key.sort(kind="stable")
+    key &= 0xFFFFFFFF
+    return _offsets(n, src), key.astype(np.int32)
+
+
+def _pack(off, idx, n) -> list[int]:
+    """Bitset rows from neighbour arrays, _SUB_BLOCK rows at a time: one
+    scatter into a bit block and one pack per block."""
+    w = (n + 7) // 8
+    out = []
+    for s in range(0, n, _SUB_BLOCK):
+        e = min(s + _SUB_BLOCK, n)
+        a, b = off[s], off[e]
+        bits = np.zeros((e - s, 8 * w), dtype=bool)
+        bits[_sources(off[s:e + 1]), idx[a:b]] = True
+        blob = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        out.extend(int.from_bytes(blob[i:i + w], "little") for i in range(0, len(blob), w))
+    return out
+
+
+def _unpack(rows, n):
+    """Neighbour arrays from bitset rows, _SUB_BLOCK rows at a time; the
+    bits come out row by row, each row's ascending."""
+    w = (n + 7) // 8
+    src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for s in range(0, n, _SUB_BLOCK):
+        part = rows[s:s + _SUB_BLOCK]
+        raw = np.frombuffer(b"".join(r.to_bytes(w, "little") for r in part),
+                            dtype=np.uint8).reshape(len(part), w)
+        r, c = np.nonzero(np.unpackbits(raw, axis=1, bitorder="little"))
+        src.append(r + s)
+        dst.append(c)
+    return _offsets(n, np.concatenate(src)), np.concatenate(dst).astype(np.int32)
 
 
 def _subrows(rows, n, keep):
@@ -135,48 +223,57 @@ def _subrows(rows, n, keep):
     return out
 
 
-def _adjacency(G: Group, vids) -> list[int]:
-    """Rows on vids, which must be a union of conjugacy classes.
+def _adjacency(G: Group, vids):
+    """Neighbour arrays (offsets, indices) on vids, which must be a union
+    of conjugacy classes.
 
     One commute_mask per class gives its first vertex's neighbour index
     array; every other vertex of the class gets its array by one gather
     along a generator conjugation map, since y commutes with x exactly when
-    y^g commutes with x^g.  A gathered array is unsorted, which is fine
-    since a row is a set; each row is packed once from its array.
+    y^g commutes with x^g.  The class's vertices all have the first one's
+    degree, so their arrays form one block, sorted row-wise by one call.
     """
     m = len(vids)
     sel = np.asarray(vids, dtype=np.int64)
-    where = np.full(len(G), -1, dtype=np.int64)
+    where = np.full(len(G), -1, dtype=np.int32)
     where[sel] = np.arange(m)
     # perms[k][u]: position of vertex u conjugated by generator k
     perms = [where[np.asarray(cm)[sel]] for cm in G.conjugation_maps()]
     if any((p < 0).any() for p in perms):
         raise PcgError("adjacency needs a vertex set closed under conjugation")
+    steps = [p.tolist() for p in perms]
     arr = G.rows[sel]
-    nbrs: list[np.ndarray | None] = [None] * m
+    deg = np.zeros(m, dtype=np.int64)
+    blocks = []
     for cls in G.conjugacy_classes():
         start = int(where[cls[0]])
         if start < 0:
             continue
         mask = G.kind.commute_mask(arr, arr[start])
         mask[start] = False
-        nbrs[start] = np.flatnonzero(mask)
+        block = np.empty((len(cls), int(mask.sum())), dtype=np.int32)
+        block[0] = np.flatnonzero(mask)
+        # slot[v]: v's row of the block; rows are filled in discovery order
+        slot = {start: 0}
         stack = [start]
         while stack:
             u = stack.pop()
-            for perm in perms:
-                v = int(perm[u])
-                if nbrs[v] is None:
-                    nbrs[v] = perm[nbrs[u]]
+            for perm, step in zip(perms, steps):
+                v = step[u]
+                if v not in slot:
+                    np.take(perm, block[slot[u]], out=block[len(slot)])
+                    slot[v] = len(slot)
                     stack.append(v)
-    mask = np.zeros(m, dtype=bool)
-    rows = []
-    for u in range(m):
-        mask[nbrs[u]] = True
-        rows.append(_mask_to_bitset(mask))
-        mask[nbrs[u]] = False
-        nbrs[u] = None  # released as its row is packed
-    return rows
+        block.sort(axis=1)
+        verts = np.fromiter(slot, dtype=np.int64, count=len(slot))
+        deg[verts] = block.shape[1]
+        blocks.append((verts, block))
+    off = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(deg, out=off[1:])
+    idx = np.empty(off[-1], dtype=np.int32)
+    for verts, block in blocks:
+        idx[off[verts][:, None] + np.arange(block.shape[1])] = block
+    return off, idx
 
 
 def build_graph(G: Group, include_center: bool = False) -> CommGraph:
@@ -191,7 +288,7 @@ def build_graph(G: Group, include_center: bool = False) -> CommGraph:
             f"{len(vids)} vertices exceeds the {FULL_VERTEX_GUARD} guard for "
             "full graphs; use build_reduced"
         )
-    return CommGraph(len(vids), _adjacency(G, vids), spec=G.name, vids=vids, group=G)
+    return CommGraph(len(vids), csr=_adjacency(G, vids), spec=G.name, vids=vids, group=G)
 
 
 def build_reduced(G: Group) -> CommGraph:
@@ -202,7 +299,7 @@ def build_reduced(G: Group) -> CommGraph:
         raise GuardError(
             f"{len(vids)} reduced vertices exceeds the {REDUCED_VERTEX_GUARD} guard"
         )
-    return CommGraph(len(vids), _adjacency(G, vids), spec=G.name, vids=vids, group=G)
+    return CommGraph(len(vids), csr=_adjacency(G, vids), spec=G.name, vids=vids, group=G)
 
 
 def twin_classes(rows, alive: int) -> list[list[int]]:
@@ -232,10 +329,49 @@ def twin_classes(rows, alive: int) -> list[list[int]]:
     return [sorted(c) for c in by_closed.values()]
 
 
+def _first_by_array(off, idx, vertices) -> list[int]:
+    """The first of the given vertices (an int array) with each distinct
+    neighbour array, in the given order; arrays are keyed on their bytes."""
+    first: dict[bytes, int] = {}
+    for u, a, b in zip(vertices.tolist(), off[vertices].tolist(), off[vertices + 1].tolist()):
+        first.setdefault(idx[a:b].tobytes(), u)
+    return list(first.values())
+
+
+def _twin_keep(off, idx, n) -> list[int]:
+    """The smallest vertex of each class of twin_classes on the whole graph,
+    ascending, from its neighbour arrays.
+
+    The open pass keys each vertex on its array; the closed pass keys each
+    open minimum on its array restricted to the open minima, plus itself.
+    A key's first vertex is its class's smallest.
+    """
+    reps = np.array(_first_by_array(off, idx, np.arange(n)), dtype=np.int32)
+    isrep = np.zeros(n, dtype=bool)
+    isrep[reps] = True
+    src = _sources(off)
+    among = isrep[src]
+    among &= isrep[idx]
+    src, dst = np.concatenate([src[among], reps]), np.concatenate([idx[among], reps])
+    return _first_by_array(*_csr(n, src, dst), reps)
+
+
 def collapse_twins(g: CommGraph) -> CommGraph:
     """The subgraph induced on the smallest vertex of each twin class
-    (twin_classes)."""
-    return induced(g, [c[0] for c in twin_classes(g.rows, (1 << g.n) - 1)])
+    (twin_classes), found and built from the neighbour arrays."""
+    off, idx = g.csr
+    keep = _twin_keep(off, idx, g.n)
+    new = np.full(g.n, -1, dtype=np.int32)
+    new[keep] = np.arange(len(keep))
+    # renumbering keeps every array ascending, so the filtered block is CSR
+    src, dst = new[_sources(off)], new[idx]
+    both = src >= 0
+    both &= dst >= 0
+    return CommGraph(
+        len(keep), csr=(_offsets(len(keep), src[both]), dst[both]), spec=g.spec,
+        vids=[g.vids[u] for u in keep] if g.vids is not None else None,
+        group=g.group,
+    )
 
 
 def complement(g: CommGraph) -> CommGraph:
@@ -262,9 +398,13 @@ def induced(g: CommGraph, vertices) -> CommGraph:
 
 
 def to_dimacs(g: CommGraph) -> str:
-    lines = [f"p edge {g.n} {g.edge_count()}"]
-    for u, v in g.edges():
-        lines.append(f"e {u + 1} {v + 1}")
+    """DIMACS text with one `e` line per edge u < v, by u then v, read off
+    each vertex's array (the order of CommGraph.edges())."""
+    off, idx = g.csr
+    src = _sources(off)
+    up = idx > src
+    lines = [f"p edge {g.n} {int(up.sum())}"]
+    lines.extend(map("e {} {}".format, (src[up] + 1).tolist(), (idx[up] + 1).tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import cg, perf, wit
@@ -130,7 +129,7 @@ def grid_labels(g: cg.CommGraph):
     """
     if g.group is None or g.vids is None:
         return None
-    return grid_labels_from_encodings(g.render_vertex(u) for u in range(g.n))
+    return grid_labels_from_encodings(g.render_vertices())
 
 
 def grid_labels_from_encodings(encodings):
@@ -202,7 +201,7 @@ def analyze(spec: str, include_center: bool = False,
     encodings = None
     if witness is not None:
         try:
-            encodings = tuple(graph.render_vertex(v) for v in witness.vertices)
+            encodings = tuple(graph.render_vertices(witness.vertices))
             ok = (verify_witness(graph, witness)
                   and wit.decode(G, key, witness.kind, encodings).verify())
         except PcgError as e:
@@ -270,6 +269,9 @@ def run_suite(filter: str = "", budget: int = perf.DEFAULT_BUDGET,
     reports: list[Report] = []
     pool = None
     if jobs > 1 and len(specs) > 1:
+        # imported here: multiprocessing adds about 2 MB to runs without --jobs
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=jobs)
     work = [(s, budget) for s in specs]
     with pool or contextlib.nullcontext():

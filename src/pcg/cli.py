@@ -12,7 +12,6 @@ The PCG_CACHE_DIR environment variable supplies a default cache directory.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import re
 import sys
@@ -141,6 +140,8 @@ def tuple_certificate(et: wit.ElementTuple) -> Certificate:
 
 def _cache_path(cache_dir: str, spec: str, include_center: bool,
                 reduced: bool, collapsed: bool) -> str:
+    import hashlib  # here: OpenSSL adds about 4 MB to runs that use no cache
+
     key = (
         f"{spec}|ic={int(include_center)}|red={int(reduced)}"
         f"|col={int(collapsed)}|v{CACHE_VERSION}"
@@ -168,7 +169,9 @@ def write_cache(path: str, graph: cg.CommGraph, spec: str) -> tuple[str, ...]:
     """DIMACS body prefixed with a vertex encoding table, under a header
     naming the format version, the spec and the SHA-256 of the rest of the
     file; returns the table."""
-    encodings = tuple(graph.render_vertex(u) for u in range(graph.n))
+    import hashlib  # here: OpenSSL adds about 4 MB to runs that use no cache
+
+    encodings = tuple(graph.render_vertices())
     body = "".join(f"c v {u} {enc}\n" for u, enc in enumerate(encodings))
     body += cg.to_dimacs(graph)
     digest = hashlib.sha256(body.encode()).hexdigest()
@@ -188,6 +191,8 @@ def _cache_body(path: str) -> str | None:
     """A cache file's text below its header, or None when the file is absent
     or corrupt: another format version, a spec line that does not name the
     file, or a body that does not match its digest."""
+    import hashlib  # here: OpenSSL adds about 4 MB to runs that use no cache
+
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -1087,8 +1087,41 @@ class Group:
         return np.flatnonzero(self.commute_mask(i)).tolist()
 
     def is_abelian_subset(self, indices) -> bool:
+        """Whether the elements pairwise commute, by one commute_mask per
+        element; the reference that _is_abelian_subgroup is tested against."""
         rows = self.rows[np.asarray(indices, dtype=np.intp)]
         return all(self.kind.commute_mask(rows, v).all() for v in rows)
+
+    def _is_abelian_subgroup(self, members) -> bool:
+        """Whether the subgroup whose element indices are members (an
+        ascending array) is abelian.
+
+        H = <y1, y2, ...> grows inside it.  Each step takes the first member
+        y not in H and checks, by one commute_mask over every member, that y
+        commutes with all of them; if so, H gains the cosets H y, H y^2, ...
+        up to the first power of y in H.  H is generated by central elements
+        of the subgroup, so it is abelian, and the subgroup is abelian exactly
+        when H reaches it.  H at least doubles at each step.
+        """
+        k = self.kind
+        rows = self.rows[members]
+        inH = np.zeros(len(self), dtype=bool)
+        inH[0] = True  # the identity
+        H = np.zeros(1, dtype=np.int32)
+        while len(H) < len(members):
+            y = self.rows[members[np.argmin(inH[members])]]
+            if not k.commute_mask(rows, y).all():
+                return False
+            cosets = [H]
+            while True:
+                # the coset before times y; its first element is a power of y
+                c = self._find_rows(k.canonical_rows(k.mul_arrays(self.rows[cosets[-1]], y)))
+                if inH[c[0]]:
+                    break
+                inH[c] = True
+                cosets.append(c)
+            H = np.concatenate(cosets)
+        return True
 
     def is_abelian(self) -> bool:
         return len(self.center()) == len(self)
@@ -1180,7 +1213,8 @@ class Group:
           abelian group is abelian);
         - C(xz) = C(x): x and xz commute with the same elements.
         Classes left undecided get a centralizer mask over G, in ascending
-        element order, and each answer is passed on along these facts.
+        element order, which _is_abelian_subgroup decides, and each answer is
+        passed on along these facts.
         """
         if self._reduced is None:
             _, members, starts = self._class_arrays()
@@ -1221,7 +1255,7 @@ class Group:
             for c in sorted(noncentral, key=lambda c: (self.class_order(c), c)):
                 if c not in abelian:
                     cent = np.flatnonzero(self.commute_mask(self._class_rep(c)))
-                    settle(c, self.is_abelian_subset(cent))
+                    settle(c, self._is_abelian_subgroup(cent))
             keep = [members[starts[c]:starts[c + 1]] for c in noncentral if not abelian[c]]
             self._reduced = np.sort(np.concatenate(keep)) if keep else members[:0]
         return self._reduced.tolist()

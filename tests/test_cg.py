@@ -194,6 +194,110 @@ def test_collapse_preserves_hole():
     assert c.rows == g.rows
 
 
+# the benchmark's verdict-table rows; fib(3a6,sl:2:9) has no reduced vertices
+TABLE_ROWS = (
+    "alt:6", "sl:3:2", "sl:3:4", "psl:3:4", "3a6", "sz:8", "fib(3a6,sl:2:9)",
+    "sym:6", "alt:8", "psl:2:17", "su:3:3", "psu:3:3", "aut-sl2-8",
+    "prod(sym:3,sym:3,sym:3)",
+)
+
+
+def _collapse_reference(g):
+    # the bitset collapse: twin classes of the rows, then _subrows
+    return induced(g, [c[0] for c in twin_classes(g.rows, (1 << g.n) - 1)])
+
+
+@pytest.mark.parametrize("spec", TABLE_ROWS)
+def test_array_collapse_matches_bitset_collapse(spec):
+    g = build_reduced(build(spec))
+    got, want = collapse_twins(g), _collapse_reference(g)
+    assert got.n == want.n
+    assert got.rows == want.rows
+    assert got.vids == want.vids
+    assert to_dimacs(got) == to_dimacs(want)
+
+
+def _planted_twins(rng, base, extra):
+    # a random graph on base vertices, then extra vertices that each copy
+    # an earlier vertex's neighbourhood, as an open twin (not adjacent to
+    # it) or a closed twin (adjacent to it); labels shuffled at the end
+    adj = [set() for _ in range(base)]
+    for u in range(base):
+        for v in range(u + 1, base):
+            if rng.random() < 0.4:
+                adj[u].add(v)
+                adj[v].add(u)
+    for _ in range(extra):
+        v, w = rng.randrange(len(adj)), len(adj)
+        adj.append(set(adj[v]))
+        for x in adj[v]:
+            adj[x].add(w)
+        if rng.random() < 0.5:
+            adj[v].add(w)
+            adj[w].add(v)
+    label = list(range(len(adj)))
+    rng.shuffle(label)
+    return _graph(len(adj), [(label[u], label[v]) for u in range(len(adj)) for v in adj[u]])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_array_collapse_matches_bitset_collapse_on_planted_twins(seed):
+    rng = random.Random(seed)
+    g = _planted_twins(rng, rng.randrange(1, 60), rng.randrange(0, 140))
+    got, want = collapse_twins(g), _collapse_reference(g)
+    assert got.n == want.n
+    assert got.rows == want.rows
+    # and from a graph read back from its DIMACS text
+    back = read_dimacs(to_dimacs(g))
+    assert collapse_twins(back).rows == want.rows
+
+
+def _dimacs_from_edges(g):
+    lines = [f"p edge {g.n} {g.edge_count()}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["alt:6", "sl:3:4", "aut-sl2-8", "fib(3a6,sl:2:9)"])
+def test_dimacs_from_arrays_matches_edge_order(spec):
+    g = build_reduced(build(spec))
+    for h in (g, collapse_twins(g), CommGraph(g.n, g.rows)):
+        assert to_dimacs(h) == _dimacs_from_edges(h)
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 130, 300])
+def test_rows_and_arrays_derive_each_other(n):
+    # rows packed lazily from arrays equal rows set bit by bit, and arrays
+    # unpacked from those rows are the arrays again; 130 and 300 cross a
+    # _SUB_BLOCK boundary
+    rng = random.Random(n)
+    g = _random_graph(rng, n)
+    off, idx = CommGraph(n, g.rows).csr
+    assert off[0] == 0 and len(off) == n + 1 and off[-1] == len(idx)
+    for u in range(n):
+        nb = idx[off[u]:off[u + 1]].tolist()
+        assert nb == sorted(nb) == g.neighbors(u)
+    lazy = CommGraph(n, csr=(off, idx))
+    assert lazy.rows == [sum(1 << int(v) for v in idx[off[u]:off[u + 1]]) for u in range(n)]
+    assert lazy.edge_count() == g.edge_count()
+
+
+def test_graph_needs_rows_or_arrays():
+    with pytest.raises(PcgError):
+        CommGraph(2)
+    with pytest.raises(PcgError):
+        CommGraph(2, csr=(np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int32)))
+
+
+def test_render_vertices_match_elements():
+    G = build("psl:2:5")
+    g = build_graph(G)
+    want = [G.element(i).render() for i in g.vids]
+    assert list(g.render_vertices()) == want
+    assert [g.render_vertex(u) for u in range(g.n)] == want
+    assert list(g.render_vertices([2, 0])) == [want[2], want[0]]
+
+
 def test_complement_involution():
     rng = random.Random(77)
     g = _random_graph(rng, 8)

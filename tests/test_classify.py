@@ -1,9 +1,13 @@
 """Verdict table, analyze reports, and suite running."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import pcg
 from pcg import classify
 from pcg.cg import CommGraph, build_reduced, collapse_twins
 from pcg.classify import (
@@ -239,3 +243,22 @@ def test_report_is_immutable():
     r = analyze("sym:3")
     with pytest.raises(AttributeError):
         r.order = 7
+
+
+def test_analyze_loads_no_openssl_or_process_pool():
+    # a fresh interpreter, since pytest itself imports hashlib: importing
+    # cli and classify and analysing a spec without a cache or --jobs must
+    # not load the modules only those paths use
+    src = os.path.dirname(os.path.dirname(pcg.__file__))
+    code = (
+        "import sys\n"
+        "from pcg import classify, cli\n"
+        "assert classify.analyze('alt:6').match\n"
+        "print(sorted(m for m in ('hashlib', '_hashlib', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -447,6 +447,21 @@ def test_reduced_vertices_match_definition(spec):
 
 
 @pytest.mark.parametrize("spec", [
+    "sym:5", "psl:2:9", "psu:3:3", "aut-sl2-8", "prod(sym:3,sym:3,sym:3)",
+    "prod(alt:3,alt:3)", "prod(alt:3,sym:2)",
+])
+def test_abelian_subgroup_matches_pairwise_check(spec):
+    # the generating-set test against commute masks of every pair, on every
+    # centralizer and on the whole group
+    G = build(spec)
+    subgroups = [np.flatnonzero(G.commute_mask(int(c[0]))) for c in G.conjugacy_classes()]
+    subgroups.append(np.arange(len(G)))
+    for members in subgroups:
+        assert G._is_abelian_subgroup(members) == G.is_abelian_subset(members)
+    assert G._is_abelian_subgroup(np.arange(len(G))) == G.is_abelian()
+
+
+@pytest.mark.parametrize("spec", [
     "sl:3:4", "3a6", "gl:2:3", "prod(sym:3,sym:3,sym:3)", "psl:2:17", "sym:4",
 ])
 def test_center_is_intersection_of_generator_masks(spec):
