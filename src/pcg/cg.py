@@ -31,6 +31,8 @@ for the collapsed graph alone.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import GuardError, PcgError
@@ -408,9 +410,47 @@ def to_dimacs(g: CommGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the text to_dimacs writes: the header, then one line per edge; a vertex
+# number of at most 18 digits fits int64
+_DIMACS_HEAD = re.compile(r"p edge ([0-9]+) ([0-9]+)\n")
+_DIMACS_EDGES = re.compile(r"(?:e [0-9]{1,18} [0-9]{1,18}\n)*")
+# characters of edge lines matched at once: the matcher keeps state for
+# every line it repeats over, 2.5 MB for alt:8's 14,490 lines in one match
+_DIMACS_BLOCK = 1 << 14
+
+
 def read_dimacs(text: str) -> CommGraph:
+    """The graph of a DIMACS edge text; PcgError when it is malformed, names
+    a vertex out of range or a self-loop, or holds another number of edge
+    lines than its header promises (a repeated edge line counts).
+
+    Text in the form to_dimacs writes is parsed in one pass; any other text,
+    or one that fails a check, is read line by line, which names the first
+    bad line."""
+    head = _DIMACS_HEAD.match(text)
+    if head is not None and _edge_lines(text, head.end()):
+        n, m = int(head[1]), int(head[2])
+        ends = np.fromstring(text[head.end():].replace("e", ""), dtype=np.int64, sep=" ") - 1
+        if (len(ends) == 2 * m and ((ends >= 0) & (ends < n)).all()
+                and (ends[0::2] != ends[1::2]).all()):
+            return _from_edges(n, ends)
+    return _read_dimacs_lines(text)
+
+
+def _edge_lines(text: str, pos: int) -> bool:
+    """Whether text from pos on is edge lines as to_dimacs writes them,
+    matched a block of whole lines at a time."""
+    while pos < len(text):
+        end = text.find("\n", pos + _DIMACS_BLOCK) + 1 or len(text)
+        if _DIMACS_EDGES.fullmatch(text, pos, end) is None:
+            return False
+        pos = end
+    return True
+
+
+def _read_dimacs_lines(text: str) -> CommGraph:
     n = m = None
-    rows = None
+    ends = None
     seen = 0
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -422,9 +462,9 @@ def read_dimacs(text: str) -> CommGraph:
                     or not (parts[2].isdecimal() and parts[3].isdecimal())):
                 raise PcgError(f"bad DIMACS header on line {ln}: {line!r}")
             n, m = int(parts[2]), int(parts[3])
-            rows = [0] * n
+            ends = []
         elif line.startswith("e"):
-            if rows is None:
+            if ends is None:
                 raise PcgError("DIMACS edge before header")
             parts = line.split()
             if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
@@ -432,16 +472,27 @@ def read_dimacs(text: str) -> CommGraph:
             u, v = int(parts[1]) - 1, int(parts[2]) - 1
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise PcgError(f"bad DIMACS edge on line {ln}: {line!r}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            ends += (u, v)
             seen += 1
         else:
             raise PcgError(f"bad DIMACS line {ln}: {line!r}")
-    if rows is None:
+    if ends is None:
         raise PcgError("no DIMACS header found")
     if seen != m:
         raise PcgError(f"DIMACS header promised {m} edges, found {seen}")
-    return CommGraph(n, rows)
+    return _from_edges(n, np.array(ends, dtype=np.int64))
+
+
+def _from_edges(n, ends) -> CommGraph:
+    """The graph on n vertices with an edge between ends[2i] and
+    ends[2i + 1], for each i; an edge may repeat, in either order."""
+    u, v = ends[0::2], ends[1::2]
+    key = np.concatenate([u * n + v, v * n + u])
+    key.sort()
+    keep = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    src, dst = np.divmod(key[keep], n)
+    return CommGraph(n, csr=(_offsets(n, src), dst.astype(np.int32)))
 
 
 def read_dimacs_file(path) -> CommGraph:

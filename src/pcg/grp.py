@@ -22,8 +22,11 @@ shares its cover's table and index maps.
 Groups are built by breadth-first closure in a fixed deterministic order
 (generators sorted by encoding, FIFO queue, fixed chunk size), so regenerating
 a group from the same data yields an identical element table.  A chunk of rows
-times a generator is one numpy product; its keys are looked up in the sorted
-keys, and the rows not found are appended and their keys merged in.  A
+times a generator is one numpy product; its keys are looked up in the table,
+and the rows not found are appended.  Over a small key space (_DENSE) the
+growing table is an int32 index addressed by key (a lookup is a gather, an
+append a scatter), over a larger one the new keys are merged into the sorted
+keys; either way the finished table holds the sorted keys.  A
 product always has one fixed factor, so matrices over every field multiply by
 one table lookup: the table holds every length-n vector times the fixed
 matrix, and a vector is looked up by its base-q code, which is below
@@ -38,8 +41,9 @@ right-multiplication maps R_g (the index of x g, for every x and generator
 g) as the one pass of products; a central quotient projects its parent's.  A
 breadth-first (Schreier) tree over them gives left maps L_h, since h (x g) =
 (h x) g along each tree edge, and the inverse map inv, since
-(x g)^-1 = g^-1 x^-1.  So the conjugation maps R_g[L_{g^-1}] and the
-centralizer masks L_x == R_x, with R_x = inv[L_{x^-1}[inv]], are gathers.
+(x g)^-1 = g^-1 x^-1.  So the conjugation maps R_g[L_{g^-1}] are gathers,
+and so is the conjugation action on one element x: c[y] = y^-1 x y, filled
+along the tree, whose fixed points y are the centralizer of x.
 
 Group facts are read off the conjugacy classes, the orbits of the
 conjugation maps, kept as one int32 class label per element beside the
@@ -74,6 +78,12 @@ _CHUNK = 4096  # closure chunk size; part of the deterministic ordering
 _CODE_RANGE = 1 << 16  # vector codes of a matrix kind are uint16
 _TABLE_MEMO = 8  # vector tables a matrix kind keeps, oldest dropped first
 _BLOCK = 1 << 16  # rows per block product over a whole group
+# a growing table indexes its keys densely, an int32 a key, when the kind has
+# at most _DENSE keys and at most _DENSE_PER_ROW for each row it may grow to:
+# a small closure over many keys (3a6: 1,080 elements, 2^18 keys) would touch
+# every page of an index that the sorted merge does without
+_DENSE = 1 << 22
+_DENSE_PER_ROW = 64
 
 _STRUCTS: dict[int, struct.Struct] = {}
 
@@ -262,7 +272,7 @@ class PermKind(Kind):
 
     def mul_arrays(self, A, B):
         # (a*b)(i) = a(b(i)): a's images indexed by b's
-        return A[..., B] if B.ndim == 1 else A[B]
+        return A[..., B] if B.ndim == 1 else A.take(B)
 
     def __eq__(self, other):
         return isinstance(other, PermKind) and other.deg == self.deg
@@ -373,10 +383,10 @@ class MatKind(Kind):
         n = self.n
         if B.ndim == 1:
             X = A.reshape(A.shape[:-1] + (n, n))
-            return self._table(B.reshape(n, n))[self._codes(X)].reshape(A.shape)
+            return self._table(B.reshape(n, n)).take(self._codes(X), axis=0).reshape(A.shape)
         # A B is the transpose of B^T A^T: look up B's columns in A^T's table
         X = B.reshape(B.shape[:-1] + (n, n)).swapaxes(-1, -2)
-        C = self._table(A.reshape(n, n).T)[self._codes(X)]
+        C = self._table(A.reshape(n, n).T).take(self._codes(X), axis=0)
         return C.swapaxes(-1, -2).reshape(B.shape)
 
     def __eq__(self, other):
@@ -718,13 +728,18 @@ class _Table:
     """Element rows in first-seen order with their keys, and the keys sorted
     beside the index of each, so a batch of keys is found by one searchsorted.
 
-    A closure grows a table in place (add); rows and keys are then buffers
-    whose first n entries are in use, trimmed when it is frozen.
+    A closure grows a table in place (add) up to grow_to rows; rows and keys
+    are then buffers whose first n entries are in use, trimmed when it is
+    frozen.  When the kind's key space is small enough (_DENSE,
+    _DENSE_PER_ROW), a growing table holds dense[key] = index + 1, 0 for a key
+    it lacks, so find is one gather and add one scatter, and freeze reads the
+    sorted keys and their indices off it; otherwise add merges each batch
+    into the sorted keys.
     """
 
-    __slots__ = ("kind", "rows", "keys", "n", "sorted", "perm")
+    __slots__ = ("kind", "rows", "keys", "n", "sorted", "perm", "dense")
 
-    def __init__(self, kind: Kind, rows):
+    def __init__(self, kind: Kind, rows, grow_to: int = 0):
         rows = np.asarray(rows, dtype=np.uint16)
         radices = kind._places()[0]
         if rows.ndim != 2 or rows.shape[1] != len(radices):
@@ -740,9 +755,17 @@ class _Table:
         self.perm = perm.astype(np.int32)
         if (self.sorted[1:] == self.sorted[:-1]).any():
             raise ConstructionError("duplicate elements in table")
+        self.dense = None
+        space = math.prod(radices)
+        if space <= min(_DENSE, _DENSE_PER_ROW * grow_to):
+            # calloc'd: pages no key reaches are never touched
+            self.dense = np.zeros(space, dtype=np.int32)
+            self.dense[self.keys.view(np.int64)] = np.arange(1, self.n + 1)
 
     def find(self, keys) -> np.ndarray:
         """The index of each key's element, -1 where it has none."""
+        if self.dense is not None:
+            return self.dense[keys.view(np.int64)] - 1
         # sorted needles search faster: each starts near the one before
         o = np.argsort(keys)
         pos = np.empty(len(keys), dtype=np.intp)
@@ -761,6 +784,10 @@ class _Table:
             self.keys = np.concatenate([self.keys[:n], np.empty(size - n, dtype=np.uint64)])
         self.rows[n:n + m] = rows
         self.keys[n:n + m] = keys
+        self.n = n + m
+        if self.dense is not None:
+            self.dense[keys.view(np.int64)] = np.arange(n + 1, n + m + 1, dtype=np.int32)
+            return
         # merge: the new keys, in order, land at these positions
         o = np.argsort(keys)
         at = np.searchsorted(self.sorted, keys[o]) + np.arange(m)
@@ -772,10 +799,17 @@ class _Table:
         perm = np.empty(len(kept), dtype=np.int32)
         perm[at] = n + o
         perm[kept] = self.perm
-        self.sorted, self.perm, self.n = merged, perm, n + m
+        self.sorted, self.perm = merged, perm
 
     def freeze(self) -> "_Table":
-        """Trim the buffers and make every array read-only."""
+        """Trim the buffers, drop the dense index and make every array
+        read-only."""
+        if self.dense is not None:
+            # the occupied keys, ascending, are the sorted keys
+            found = np.flatnonzero(self.dense)
+            self.perm = self.dense[found] - 1
+            self.sorted = found.view(np.uint64)
+            self.dense = None
         if len(self.rows) != self.n:
             self.rows = self.rows[:self.n].copy()
             self.keys = self.keys[:self.n].copy()
@@ -824,7 +858,7 @@ def _mulclose(kind: Kind, gens, cap: int):
     """BFS closure of generator rows from the identity: (table, maps), where
     maps[k][i] is the index of x gens[k] for the element x at index i;
     CapError past cap."""
-    t = _Table(kind, kind.to_array([kind.identity()]))
+    t = _Table(kind, kind.to_array([kind.identity()]), grow_to=cap)
     looked = _extend_closure(t, [], gens, lambda keys: t.n + len(keys) > cap)
     return t.freeze(), [np.concatenate(c) for c in looked]
 
@@ -940,6 +974,15 @@ class Group:
         # a payload with a foreign tag can have a member's codes
         return int(t.perm[pos]) if self.kind.encode(codes) == p else -1
 
+    def lookup_parsed(self, payloads) -> np.ndarray:
+        """lookup for each of a batch of payloads that this group's kind's
+        parse_render made, by one find of their keys: the index of each
+        one's element, -1 where it names none.  parse_render gives the
+        kind's tag and codes in range, which lookup checks one by one."""
+        if not payloads:
+            return np.zeros(0, dtype=np.int32)
+        return self._t.find(self.kind.keys(self.kind.to_array(payloads)))
+
     def _index(self, p: bytes) -> int:
         i = self.lookup(p)
         if i < 0:
@@ -1020,8 +1063,8 @@ class Group:
             while level.size:
                 nxt = []
                 for k, m in enumerate(self.right_maps()):
-                    c = m[level]
-                    fresh = ~seen[c]
+                    c = m.take(level)
+                    fresh = ~seen.take(c)
                     if fresh.any():
                         seen[c[fresh]] = True
                         steps.append((k, level[fresh]))
@@ -1042,38 +1085,43 @@ class Group:
         L[0] = indices
         for k, parents in self._schreier():
             m = R[k]
-            L[m[parents]] = m[L[parents]]
+            L[m.take(parents)] = m.take(L.take(parents, axis=0))
         return L.T
 
-    def inverse_map(self) -> np.ndarray:
-        """inv[i] is the index of x^-1 for the element x at index i."""
-        if self._inv is None:
-            self._index_maps()
-        return self._inv
+    def _inverse_lefts(self) -> np.ndarray:
+        """L_{g^-1} for each generator g; g^-1 is where R_g holds the
+        identity."""
+        return self.left_maps([int(m.argmin()) for m in self.right_maps()])
 
-    def _index_maps(self) -> None:
-        # conjugation by g is x -> g^-1 x g = R_g[L_{g^-1}[x]], and along each
-        # tree edge (x g)^-1 = g^-1 x^-1 = L_{g^-1}[x^-1]; g^-1 is where R_g
-        # holds the identity
-        R = self.right_maps()
-        Linv = self.left_maps([int(m.argmin()) for m in R])
-        self._conj = [m[lm] for m, lm in zip(R, Linv)]
-        inv = np.zeros(len(self), dtype=np.int32)
-        for k, parents in self._schreier():
-            inv[R[k][parents]] = Linv[k][inv[parents]]
-        self._inv = inv
+    def inverse_map(self) -> np.ndarray:
+        """inv[i] is the index of x^-1 for the element x at index i: along
+        each tree edge, (x g)^-1 = g^-1 x^-1 = L_{g^-1}[x^-1]."""
+        if self._inv is None:
+            R = self.right_maps()
+            Linv = self._inverse_lefts()
+            inv = np.zeros(len(self), dtype=np.int32)
+            for k, parents in self._schreier():
+                inv[R[k].take(parents)] = Linv[k].take(inv.take(parents))
+            self._inv = inv
+        return self._inv
 
     # -- masks ------------------------------------------------------------
 
     def commute_mask(self, i: int, subset=None):
         """Boolean mask of elements commuting with element i.
 
-        x y = y x where L_x[y] == R_x[y], and R_x = inv[L_{x^-1}[inv]] since
-        (y x)^-1 = x^-1 y^-1: two left maps and no products.  On subset, the
-        mask's entries at those indices."""
-        inv = self.inverse_map()
-        L = self.left_maps([i, int(inv[i])])
-        mask = L[0] == inv[L[1][inv]]
+        c[y] = y^-1 x y is one column of the conjugation action on x: c[0] is
+        x, and along each tree edge from y to y g, (y g)^-1 x (y g) is
+        g^-1 (y^-1 x y) g, one gather along the conjugation map of g, with no
+        products.  The mask is c == x.  On subset, the mask's entries at
+        those indices."""
+        R = self.right_maps()
+        conj = self.conjugation_maps()
+        c = np.empty(len(self), dtype=np.int32)
+        c[0] = i
+        for k, parents in self._schreier():
+            c[R[k].take(parents)] = conj[k].take(c.take(parents))
+        mask = c == i
         return mask if subset is None else mask[np.asarray(subset, dtype=np.int64)]
 
     def center(self) -> tuple[int, ...]:
@@ -1134,7 +1182,8 @@ class Group:
         right-multiplication maps and the tree with no products.  Classes,
         the centre and the normal closures are read off them."""
         if self._conj is None:
-            self._index_maps()
+            # conjugation by g is x -> g^-1 x g = R_g[L_{g^-1}[x]]
+            self._conj = [m.take(lm) for m, lm in zip(self.right_maps(), self._inverse_lefts())]
         return self._conj
 
     def _class_arrays(self):
@@ -1151,16 +1200,23 @@ class Group:
             while True:
                 new = lab
                 for m in self.conjugation_maps():
-                    new = np.minimum(new, new[m])
-                new = new[new]
+                    new = np.minimum(new, new.take(m))
+                new = new.take(new)
                 if np.array_equal(new, lab):
                     break
                 lab = new
-            members = np.argsort(lab, kind="stable").astype(np.int32)
-            starts = np.r_[0, np.flatnonzero(np.diff(lab[members])) + 1, n]
-            rank = np.empty(n, dtype=np.int32)
-            rank[lab[members[starts[:-1]]]] = np.arange(len(starts) - 1)
-            self._cls = (rank[lab], members, starts)
+            # classes are numbered in order of their smallest element, the
+            # label their members share; each array dropped here is 1.5 MB
+            # of the sort's peak at sym:9
+            del new
+            firsts = np.flatnonzero(lab == np.arange(n, dtype=np.int32))
+            label = np.searchsorted(firsts, lab).astype(np.int32)
+            del lab
+            # a stable sort of 16-bit keys is a radix sort
+            keys = label.astype(np.uint16) if len(firsts) <= 1 << 16 else label
+            members = np.argsort(keys, kind="stable").astype(np.int32)
+            starts = np.r_[0, np.cumsum(np.bincount(label))]
+            self._cls = (label, members, starts)
         return self._cls
 
     def conjugacy_classes(self) -> list[np.ndarray]:
@@ -1217,25 +1273,27 @@ class Group:
         passed on along these facts.
         """
         if self._reduced is None:
-            _, members, starts = self._class_arrays()
+            label, members, starts = self._class_arrays()
             sizes = self._class_sizes()
             k = self.kind
             n = len(self)
             noncentral = np.flatnonzero(sizes > 1).tolist()
-            zs = self.payloads(self.center()[1:])
+            # translates[j][r]: the class of x z for the r-th non-central
+            # class's first element x and the j-th non-trivial central z
+            reps = self.rows[members[starts[noncentral]]]
+            translates = [label[self._find_rows(k.canonical_rows(k.mul_arrays(reps, z)))].tolist()
+                          for z in self.rows[list(self.center()[1:])]] if noncentral else []
             # up[c]: classes whose centralizer contains C(c); down: the reverse
             up = {c: [] for c in noncentral}
             down = {c: [] for c in noncentral}
-            for c in noncentral:
-                x = self.payload(self._class_rep(c))
+            for r, c in enumerate(noncentral):
                 for d in self._power_classes(c):
                     if d in up:
                         up[c].append(d)
                         down[d].append(c)
-                for z in zs:
-                    d = self.class_of(self._index(k.mul(x, z)))
-                    up[c].append(d)
-                    down[c].append(d)
+                for t in translates:
+                    up[c].append(t[r])
+                    down[c].append(t[r])
             abelian: dict[int, bool] = {}
 
             def settle(c, ab):
@@ -1289,7 +1347,7 @@ class Group:
             unmet[met] = 0
             return left < 0
 
-        t = _Table(self.kind, self.rows[:1])
+        t = _Table(self.kind, self.rows[:1], grow_to=n)
         gens: list[np.ndarray] = []
         # seeds in payload order, which is key order
         todo = sorted({self._index(s) for s in seeds} - {0},

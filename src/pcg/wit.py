@@ -75,18 +75,30 @@ class ElementTuple:
 
 def decode_indices(G: Group, spec: str, encodings) -> list[int]:
     """Indices in G of the elements the encodings render; PcgError when an
-    encoding is malformed or names no element of G."""
-    out = []
+    encoding is malformed or names no element of G, for the first such
+    encoding in input order.
+
+    The encodings are parsed up to the first malformed one, and the ones
+    parsed are looked up as one batch (Group.lookup_parsed)."""
+    encodings = list(encodings)
+    payloads = []
+    bad = None
     for enc in encodings:
         try:
-            p = G.kind.parse_render(enc)
+            payloads.append(G.kind.parse_render(enc))
         except ValueError:
-            raise PcgError(f"malformed element encoding {enc!r}") from None
-        i = G.lookup(p)
-        if i < 0:
-            raise PcgError(f"{enc} is not an element of {spec}")
-        out.append(i)
-    return out
+            bad = PcgError(f"malformed element encoding {enc!r}")
+            break
+        except PcgError as e:
+            bad = e
+            break
+    idx = G.lookup_parsed(payloads)
+    missing = np.flatnonzero(idx < 0)
+    if missing.size:
+        raise PcgError(f"{encodings[missing[0]]} is not an element of {spec}")
+    if bad is not None:
+        raise bad
+    return idx.tolist()
 
 
 def decode(G: Group, spec: str, kind: str, encodings) -> ElementTuple:

@@ -382,6 +382,90 @@ def test_dimacs_counts_header():
     assert "e 1 2" in text
 
 
+def _read_dimacs_bigints(text):
+    # the reference reader: one bitset OR per edge line
+    n = m = None
+    rows = None
+    seen = 0
+    for ln, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if (len(parts) != 4 or parts[1] != "edge"
+                    or not (parts[2].isdecimal() and parts[3].isdecimal())):
+                raise PcgError(f"bad DIMACS header on line {ln}: {line!r}")
+            n, m = int(parts[2]), int(parts[3])
+            rows = [0] * n
+        elif line.startswith("e"):
+            if rows is None:
+                raise PcgError("DIMACS edge before header")
+            parts = line.split()
+            if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
+                raise PcgError(f"bad DIMACS edge on line {ln}: {line!r}")
+            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise PcgError(f"bad DIMACS edge on line {ln}: {line!r}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            seen += 1
+        else:
+            raise PcgError(f"bad DIMACS line {ln}: {line!r}")
+    if rows is None:
+        raise PcgError("no DIMACS header found")
+    if seen != m:
+        raise PcgError(f"DIMACS header promised {m} edges, found {seen}")
+    return CommGraph(n, rows)
+
+
+def _outcome(read, text):
+    try:
+        g = read(text)
+    except PcgError as e:
+        return "error", str(e)
+    return g.n, g.rows
+
+
+# the benchmark's table rows
+_TABLE_SPECS = [
+    "alt:6", "sl:3:2", "sl:3:4", "psl:3:4", "3a6", "sz:8", "fib(3a6,sl:2:9)",
+    "sym:6", "alt:8", "psl:2:17", "su:3:3", "psu:3:3", "aut-sl2-8",
+    "prod(sym:3,sym:3,sym:3)",
+]
+
+
+@pytest.mark.parametrize("spec", _TABLE_SPECS)
+def test_dimacs_reader_matches_reference(spec):
+    g = build_reduced(build(spec))
+    for h in (g, collapse_twins(g)):
+        text = to_dimacs(h)
+        back = read_dimacs(text)
+        assert (back.n, back.rows) == _outcome(_read_dimacs_bigints, text)
+        assert back.rows == h.rows and to_dimacs(back) == text
+
+
+@pytest.mark.parametrize("text", [
+    # the malformed cases of test_dimacs_rejects_malformed
+    "p clique 3 0\n", "e 1 2\n", "p edge 3 1\ne 1 9\n", "p edge 3\n",
+    "p edge x 0\n", "p edge 3 1\ne 1 y\n", "p edge 3 1\ne 1\n",
+    # a self-loop, vertex 0, a wrong edge count, no header, a stray line
+    "p edge 3 1\ne 2 2\n", "p edge 3 1\ne 0 2\n", "p edge 3 2\ne 1 2\n",
+    "p edge 3 0\ne 1 2\n", "", "c only a comment\n", "p edge 3 1\nx 1 2\n",
+    # repeated edges count toward the header, in either order
+    "p edge 3 2\ne 1 2\ne 1 2\n", "p edge 3 2\ne 1 2\ne 2 1\n",
+    "p edge 3 1\ne 1 2\ne 1 2\n",
+    # a second header, comments, blank lines, spacing, line ends
+    "p edge 3 1\ne 1 2\np edge 4 1\ne 3 4\n", "c a\np edge 3 1\n\n  e 1 3  \n",
+    "p edge 3 1\ne 1 2", "p edge 3 1\r\ne 1 2\r\n", "p  edge 4 2\ne 4 3\ne 1 4\n",
+    # an empty graph, leading zeros, a vertex number past int64
+    "p edge 0 0\n", "p edge 2 1\ne 01 2\n",
+    "p edge 2 1\ne 1 18446744073709551618\n", "p edge 2 1\ne 1 99999999999999999999\n",
+])
+def test_dimacs_reader_matches_reference_on_edge_cases(text):
+    assert _outcome(read_dimacs, text) == _outcome(_read_dimacs_bigints, text)
+
+
 def test_reduced_graph_known_sizes():
     # vertex counts survive both reduction stages
     r = build_reduced(build("alt:6"))

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from pcg import classify
+from pcg import classify, grp
 from pcg.errors import CapError, ConstructionError, PcgError
 from pcg.gf import _is_prime, ff_make, field_of_size
 from pcg.grp import (
@@ -17,7 +17,12 @@ from pcg.grp import (
     PairKind,
     PermKind,
     SemiKind,
+    DEFAULT_CAP,
+    _CHUNK,
+    _DENSE,
+    _DENSE_PER_ROW,
     _TABLE_MEMO,
+    _Table,
     _mulclose,
     central_quotient,
     direct_product,
@@ -154,6 +159,47 @@ def test_generate_cap():
     assert len(generate(gens, cap=120)) == 120
 
 
+def _bfs_closure(kind, gens):
+    # the closure's order, one scalar product at a time: chunks of _CHUNK
+    # elements in queue order, each times every generator in turn
+    elems = [kind.identity()]
+    index = {elems[0]: 0}
+    maps = [[] for _ in gens]
+    pos = 0
+    while pos < len(elems):
+        chunk = elems[pos:min(pos + _CHUNK, len(elems))]
+        pos += len(chunk)
+        for k, g in enumerate(gens):
+            for x in chunk:
+                y = kind.mul(x, g)
+                if y not in index:
+                    index[y] = len(elems)
+                    elems.append(y)
+                maps[k].append(index[y])
+    return elems, maps
+
+
+@pytest.mark.parametrize("spec, dense", [("sym:7", True), ("sl:3:3", True),
+                                         ("alt:8", False), ("su:3:3", False)])
+def test_closure_matches_scalar_bfs(spec, dense):
+    # a closure up to the default cap indexes its keys densely when the kind
+    # has at most _DENSE of them, and merges them into sorted keys otherwise
+    G = build(spec)
+    k = G.kind
+    assert (math.prod(k.radices()) <= _DENSE) == dense
+    assert (_Table(k, G.rows[:1], grow_to=DEFAULT_CAP).dense is not None) == dense
+    gens = k.to_array(G.gens)
+    t, maps = _mulclose(k, gens, cap=DEFAULT_CAP)
+    elems, want = _bfs_closure(k, G.gens)
+    assert k.from_array(t.rows) == elems
+    assert [m.tolist() for m in maps] == want
+    # the frozen table: no index, sorted keys beside their indices
+    assert t.dense is None and not t.sorted.flags.writeable
+    assert np.array_equal(t.sorted, np.sort(t.keys))
+    assert np.array_equal(t.keys[t.perm], t.sorted)
+    assert np.array_equal(G.rows, t.rows) and np.array_equal(G._t.perm, t.perm)
+
+
 def test_index_arithmetic():
     G = _perm_group(4, [(1, 2)], [(1, 2, 3, 4)])
     assert len(G) == 24
@@ -229,19 +275,26 @@ _KIND_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec, kind", _KIND_SPECS)
+@pytest.mark.parametrize("spec, kind", _KIND_SPECS + [
+    ("alt:8", "PermKind"), ("sz:8", "MatKind"), ("psl:3:4", "CosetKind"),
+])
 def test_commute_mask_against_bruteforce(spec, kind):
     G = build(spec)
     assert type(G.kind).__name__ == kind
-    # every row of small groups, a sample of rows of larger ones
-    for i in range(0, len(G), max(1, len(G) // 50)):
+    k = G.kind
+    # every class representative and a sample of rows against one block
+    # product each way
+    sample = range(0, len(G), max(1, len(G) // 50))
+    for i in [int(c[0]) for c in G.conjugacy_classes()] + list(sample):
+        assert np.array_equal(k.commute_mask(G.rows, G.rows[i]), G.commute_mask(i))
+    if len(G) > 2000:
+        return
+    # the sample against scalar products, and block products against them
+    for i in sample:
         mask = G.commute_mask(i)
         ei = G.element(i)
         for j in range(len(G)):
-            expected = ei.commutes_with(G.element(j))
-            assert bool(mask[j]) == expected
-        assert np.array_equal(G.kind.commute_mask(G.rows, G.rows[i]), mask)
-    k = G.kind
+            assert bool(mask[j]) == ei.commutes_with(G.element(j))
     elems = G.payloads(range(len(G)))
     for v, V in zip(elems[1:4], G.rows[1:4]):
         prods = k.from_array(k.canonical_rows(k.mul_arrays(G.rows, V)))
@@ -514,6 +567,23 @@ def test_normal_closure_matches_restart_from_identity(spec):
     reps = G.payloads([cls[0] for cls in G.conjugacy_classes()])
     for seeds in [[r] for r in reps] + list(zip(reps[1:], reps[2:])):
         assert G._normal_closure_size(seeds) == _closure_from_identity(G, seeds)
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "sl:3:3", "psl:2:17", "psl:3:4", "3a6"])
+def test_normal_closure_sizes_match_without_dense_index(spec, monkeypatch):
+    # a normal closure in G grows to at most |G| elements; its table is
+    # dense when the kind has at most _DENSE_PER_ROW keys per element of G
+    # (3a6 has 243), and gives the same sizes when every table merges keys
+    # into a sorted array
+    G = build(spec)
+    space = math.prod(G.kind.radices())
+    dense = _Table(G.kind, G.rows[:1], grow_to=len(G)).dense is not None
+    assert dense == (space <= _DENSE_PER_ROW * len(G)) == (spec != "3a6")
+    reps = G.payloads([cls[0] for cls in G.conjugacy_classes()])
+    sizes = [G._normal_closure_size([r]) for r in reps]
+    monkeypatch.setattr(grp, "_DENSE", 0)
+    assert _Table(G.kind, G.rows[:1], grow_to=len(G)).dense is None
+    assert [G._normal_closure_size([r]) for r in reps] == sizes
 
 
 def test_perfect_simple_quasisimple():

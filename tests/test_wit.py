@@ -2,7 +2,7 @@
 
 import pytest
 
-from pcg.cg import CommGraph, build_graph, build_reduced
+from pcg.cg import CommGraph, build_graph, build_reduced, collapse_twins
 from pcg.errors import ConstructionError, GuardError, PcgError
 from pcg.grp import Element, PermKind
 from pcg.named import build
@@ -12,6 +12,7 @@ from pcg.wit import (
     chain_alt6,
     chain_sl32,
     check_l34_label_model,
+    decode_indices,
     find_4chain,
     locate,
     tuple_from_vertices,
@@ -275,3 +276,54 @@ def test_label_model_spot_check():
 
 def test_klein_four_alternation():
     assert a6_klein_four_alternation()
+
+
+def _decode_one_by_one(G, spec, encodings):
+    # the reference: parse and look up each encoding in turn
+    out = []
+    for enc in encodings:
+        try:
+            p = G.kind.parse_render(enc)
+        except ValueError:
+            raise PcgError(f"malformed element encoding {enc!r}") from None
+        i = G.lookup(p)
+        if i < 0:
+            raise PcgError(f"{enc} is not an element of {spec}")
+        out.append(i)
+    return out
+
+
+def _decoded(spec, encodings):
+    G = build(spec)
+    got = []
+    for decode in (decode_indices, _decode_one_by_one):
+        try:
+            got.append(decode(G, spec, encodings))
+        except PcgError as e:
+            got.append((type(e), str(e)))
+    assert got[0] == got[1]
+    return got[0]
+
+
+@pytest.mark.parametrize("spec", ["sl:3:4", "psl:3:4", "aut-sl2-8",
+                                  "prod(sym:3,sym:3,sym:3)", "fib(3a6,sl:2:9)"])
+def test_decode_indices_matches_one_by_one(spec):
+    g = collapse_twins(build_reduced(build(spec)))
+    assert _decoded(spec, list(g.render_vertices())) == list(g.vids)
+    assert _decoded(spec, []) == []
+
+
+@pytest.mark.parametrize("spec, outside, malformed", [
+    ("alt:5", "perm:2,1,3,4,5", "perm:1,2,x,4,5"),
+    ("alt:5", "perm:2,1,3,4,5", "perm:1,1,2,3,4"),  # a PcgError from parsing
+    ("sl:3:4", "mat:4:3:2,0,0,0,1,0,0,0,1", "mat:4:3:1,0"),
+    ("psl:3:4", "coset:mat:4:3:2,0,0,0,1,0,0,0,1", "coset:mat:4:x:1"),
+])
+def test_decode_indices_reports_the_first_bad_encoding(spec, outside, malformed):
+    G = build(spec)
+    good = [G.element(i).render() for i in (0, 1, len(G) - 1)]
+    first = _decoded(spec, good + [outside, malformed])
+    assert first[1] == f"{outside} is not an element of {spec}"
+    second = _decoded(spec, good + [malformed, outside])
+    assert "not an element" not in second[1]
+    assert _decoded(spec, [malformed] + good) == second
