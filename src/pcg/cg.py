@@ -23,10 +23,16 @@ is a graph automorphism: one commuting mask is computed per class, giving
 its first vertex's array, and every other vertex's array is that array
 transported along the generator conjugation maps, one gather per vertex.
 A class's arrays all have one length, so they are sorted as one block.
-Twin collapse and DIMACS export read the arrays.  Bitset rows
-(arbitrary-width python ints), which the Berge search needs, are packed
-from the arrays only when a caller reads them, which on the analyze path is
-for the collapsed graph alone.
+
+One twin routine, _twin_keep, serves both twin passes of the pipeline:
+collapse_twins runs it on the whole graph, and perf.prune on the graph
+induced on the vertices its deletion scan leaves.  It groups vertices by a
+hash of their arrays and compares each with its group's first member,
+entry by entry, so its classes are exactly those of twin_classes, the same
+rule on bitset rows.  Induced subgraphs and DIMACS export read the arrays
+too.  Bitset rows (arbitrary-width python ints), which the Berge search
+needs, are packed from the arrays only when a caller reads them, which on
+the analyze path is for the collapsed graph and what its prune leaves.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .grp import Group
 
 FULL_VERTEX_GUARD = 30_000
 REDUCED_VERTEX_GUARD = 100_000
-_SUB_BLOCK = 128  # rows packed or compacted together by _pack and _subrows
+_SUB_BLOCK = 128  # rows packed or unpacked together by _pack and _unpack
 
 
 class CommGraph:
@@ -159,18 +165,6 @@ def _offsets(n, src) -> np.ndarray:
     return off
 
 
-def _csr(n, src, dst):
-    """(offsets, indices) of the pairs (src[i], dst[i]) on n vertices, each
-    vertex's array ascending.  One stable sort of (src, dst) keys, which is
-    linear on input made of a few ascending runs, as _twin_keep's is."""
-    key = src.astype(np.int64)
-    key <<= 32
-    key |= dst
-    key.sort(kind="stable")
-    key &= 0xFFFFFFFF
-    return _offsets(n, src), key.astype(np.int32)
-
-
 def _pack(off, idx, n) -> list[int]:
     """Bitset rows from neighbour arrays, _SUB_BLOCK rows at a time: one
     scatter into a bit block and one pack per block."""
@@ -199,30 +193,6 @@ def _unpack(rows, n):
         src.append(r + s)
         dst.append(c)
     return _offsets(n, np.concatenate(src)), np.concatenate(dst).astype(np.int32)
-
-
-def _subrows(rows, n, keep):
-    """Rows of the induced subgraph on the sorted vertex list keep.
-
-    Kept rows are compacted _SUB_BLOCK at a time: one 2-D unpack, one
-    column select and one pack per block, so no n x n bit matrix is built.
-    The select pads each row to whole bytes with column n, which is past
-    every row's last bit and so always 0.
-    """
-    m = len(keep)
-    nb = n // 8 + 1
-    w = (m + 7) // 8
-    cols = np.full(8 * w, n, dtype=np.int64)
-    cols[:m] = keep
-    out = []
-    for s in range(0, m, _SUB_BLOCK):
-        part = keep[s:s + _SUB_BLOCK]
-        raw = np.frombuffer(b"".join(rows[u].to_bytes(nb, "little") for u in part),
-                            dtype=np.uint8).reshape(len(part), nb)
-        bits = np.take(np.unpackbits(raw, axis=1, bitorder="little"), cols, axis=1)
-        blob = np.packbits(bits, axis=1, bitorder="little").tobytes()
-        out.extend(int.from_bytes(blob[i:i + w], "little") for i in range(0, len(blob), w))
-    return out
 
 
 def _adjacency(G: Group, vids):
@@ -317,6 +287,9 @@ def twin_classes(rows, alive: int) -> list[list[int]]:
     two vertices with equal open neighbourhoods nor two with equal closed
     neighbourhoods, so keeping one representative per class preserves the
     Berge verdict.
+
+    The pipeline finds these classes' smallest members on neighbour arrays
+    (_twin_keep); this bitset form is their reference.
     """
     # dicts keep insertion order, here ascending by smallest member
     by_open: dict[int, list[int]] = {}
@@ -331,31 +304,153 @@ def twin_classes(rows, alive: int) -> list[list[int]]:
     return [sorted(c) for c in by_closed.values()]
 
 
-def _first_by_array(off, idx, vertices) -> list[int]:
-    """The first of the given vertices (an int array) with each distinct
-    neighbour array, in the given order; arrays are keyed on their bytes."""
-    first: dict[bytes, int] = {}
-    for u, a, b in zip(vertices.tolist(), off[vertices].tolist(), off[vertices + 1].tolist()):
-        first.setdefault(idx[a:b].tobytes(), u)
-    return list(first.values())
+_ENTRIES = 1 << 14  # array entries hashed or compared together
 
 
-def _twin_keep(off, idx, n) -> list[int]:
+def _chunks(sizes):
+    """Ranges (s, e) of items, in order, whose sizes sum to about _ENTRIES,
+    each range holding at least one item."""
+    ends = np.cumsum(sizes)
+    s = 0
+    while s < len(ends):
+        base = ends[s - 1] if s else 0
+        e = max(int(np.searchsorted(ends, base + _ENTRIES, side="right")), s + 1)
+        yield s, e
+        s = e
+
+
+def _spans(starts, lens) -> np.ndarray:
+    """The positions starts[i], ..., starts[i] + lens[i] - 1, for each i."""
+    total = int(lens.sum())
+    before = np.cumsum(lens) - lens
+    return np.repeat(starts - before, lens) + np.arange(total)
+
+
+def _weights(n) -> np.ndarray:
+    """One pseudo-random uint64 per vertex, the splitmix64 output of its
+    number; a vertex set hashes to the sum of its members' weights, modulo
+    2^64."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mul)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _hashes(off, idx, w) -> np.ndarray:
+    """The sum of w over each vertex's array, modulo 2^64, from one running
+    sum per chunk of arrays."""
+    h = np.empty(len(off) - 1, dtype=np.uint64)
+    for s, e in _chunks(np.diff(off)):
+        a, b = off[s], off[e]
+        run = np.zeros(b - a + 1, dtype=np.uint64)
+        np.cumsum(w[idx[a:b]], out=run[1:])
+        np.subtract(run[off[s + 1:e + 1] - a], run[off[s:e] - a], out=h[s:e])
+    return h
+
+
+def _arrays(off, idx, vs, among, closed):
+    """(lens, flat): the arrays of the vertices vs one after another, each
+    restricted to the bool mask among (when given), with the vertex itself
+    when closed, and ascending."""
+    lens = off[vs + 1] - off[vs]
+    flat = idx[_spans(off[vs], lens)]
+    if among is None and not closed:
+        return lens, flat
+    owner = np.repeat(np.arange(len(vs), dtype=np.int64), lens)
+    if among is not None:
+        inside = among[flat]
+        owner, flat = owner[inside], flat[inside]
+    if closed:
+        owner = np.concatenate([owner, np.arange(len(vs))])
+        flat = np.concatenate([flat, vs])
+    # two ascending runs, the arrays and then the vertices themselves, which
+    # a stable sort merges in linear time
+    key = owner << 32
+    key |= flat
+    key.sort(kind="stable")
+    key &= 0xFFFFFFFF
+    return np.bincount(owner, minlength=len(vs)), key
+
+
+def _same_arrays(arrays, us, ls) -> np.ndarray:
+    """Whether arrays(us[i]) equals arrays(ls[i]), for each i."""
+    lu, au = arrays(us)
+    ll, al = arrays(ls)
+    same = lu == ll
+    k = np.flatnonzero(same)
+    lens = lu[k]
+    at_u = _spans((np.cumsum(lu) - lu)[k], lens)
+    at_l = _spans((np.cumsum(ll) - ll)[k], lens)
+    same[np.repeat(k, lens)[au[at_u] != al[at_l]]] = False
+    return same
+
+
+def _first_alike(off, idx, verts, among=None, closed=False) -> np.ndarray:
+    """For each vertex of verts (ascending), the first vertex of verts whose
+    array equals its own, arrays as _arrays gives them.
+
+    Vertices are grouped by a hash of their arrays (_weights) and each is
+    then compared with its group's first member, entry by entry, so the
+    result is exact: a group in which a comparison fails, because two
+    arrays share a hash, is regrouped on the arrays' bytes.
+    """
+    w = _weights(len(off) - 1)
+    h = _hashes(off, idx, w if among is None else w * among)[verts]
+    if closed:
+        h += w[verts]
+    # a stable sort keeps each hash group's members ascending
+    order = np.argsort(h, kind="stable")
+    start = np.ones(len(h), dtype=bool)
+    np.not_equal(h[order[1:]], h[order[:-1]], out=start[1:])
+    group = np.empty(len(h), dtype=np.int64)
+    group[order] = np.cumsum(start) - 1
+    lead = verts[order[start]][group]
+    cand = np.flatnonzero(lead != verts)
+
+    def arrays(vs):
+        return _arrays(off, idx, vs, among, closed)
+
+    bad = np.zeros(len(verts), dtype=bool)
+    for s, e in _chunks(off[verts[cand] + 1] - off[verts[cand]]):
+        c = cand[s:e]
+        bad[c] = ~_same_arrays(arrays, verts[c], lead[c])
+    # a set, not np.unique, which imports numpy.ma on its first call
+    for g in set(group[bad].tolist()):
+        at = np.flatnonzero(group == g)
+        lens, flat = arrays(verts[at])
+        first: dict[bytes, int] = {}
+        for i, a in zip(at.tolist(), np.split(flat, np.cumsum(lens)[:-1])):
+            lead[i] = first.setdefault(a.tobytes(), int(verts[i]))
+    return lead
+
+
+def _twin_keep(off, idx, n) -> np.ndarray:
     """The smallest vertex of each class of twin_classes on the whole graph,
     ascending, from its neighbour arrays.
 
-    The open pass keys each vertex on its array; the closed pass keys each
-    open minimum on its array restricted to the open minima, plus itself.
-    A key's first vertex is its class's smallest.
+    The open pass groups the vertices by their arrays; the closed pass
+    groups the open minima by their arrays restricted to the open minima,
+    plus themselves.  A group's first vertex is its class's smallest.
     """
-    reps = np.array(_first_by_array(off, idx, np.arange(n)), dtype=np.int32)
+    verts = np.arange(n)
+    reps = np.flatnonzero(_first_alike(off, idx, verts) == verts)
     isrep = np.zeros(n, dtype=bool)
     isrep[reps] = True
-    src = _sources(off)
-    among = isrep[src]
-    among &= isrep[idx]
-    src, dst = np.concatenate([src[among], reps]), np.concatenate([idx[among], reps])
-    return _first_by_array(*_csr(n, src, dst), reps)
+    return reps[_first_alike(off, idx, reps, among=isrep, closed=True) == reps]
+
+
+def _induced_csr(off, idx, keep):
+    """Neighbour arrays of the subgraph induced on the ascending vertex
+    array keep, renumbered in order, which keeps every array ascending."""
+    new = np.full(len(off) - 1, -1, dtype=np.int32)
+    new[keep] = np.arange(len(keep))
+    src, dst = np.repeat(new, np.diff(off)), new[idx]
+    both = src >= 0
+    both &= dst >= 0
+    return _offsets(len(keep), src[both]), dst[both]
 
 
 def collapse_twins(g: CommGraph) -> CommGraph:
@@ -363,15 +458,9 @@ def collapse_twins(g: CommGraph) -> CommGraph:
     (twin_classes), found and built from the neighbour arrays."""
     off, idx = g.csr
     keep = _twin_keep(off, idx, g.n)
-    new = np.full(g.n, -1, dtype=np.int32)
-    new[keep] = np.arange(len(keep))
-    # renumbering keeps every array ascending, so the filtered block is CSR
-    src, dst = new[_sources(off)], new[idx]
-    both = src >= 0
-    both &= dst >= 0
     return CommGraph(
-        len(keep), csr=(_offsets(len(keep), src[both]), dst[both]), spec=g.spec,
-        vids=[g.vids[u] for u in keep] if g.vids is not None else None,
+        len(keep), csr=_induced_csr(off, idx, keep), spec=g.spec,
+        vids=[g.vids[u] for u in keep.tolist()] if g.vids is not None else None,
         group=g.group,
     )
 
@@ -389,7 +478,7 @@ def induced(g: CommGraph, vertices) -> CommGraph:
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise PcgError("induced: vertex set is not a subset of the graph")
     return CommGraph(
-        len(keep), _subrows(g.rows, g.n, keep), spec=g.spec,
+        len(keep), csr=_induced_csr(*g.csr, np.array(keep, dtype=np.int64)), spec=g.spec,
         vids=[g.vids[u] for u in keep] if g.vids is not None else None,
         group=g.group,
     )
@@ -417,18 +506,21 @@ _DIMACS_EDGES = re.compile(r"(?:e [0-9]{1,18} [0-9]{1,18}\n)*")
 # characters of edge lines matched at once: the matcher keeps state for
 # every line it repeats over, 2.5 MB for alt:8's 14,490 lines in one match
 _DIMACS_BLOCK = 1 << 14
+# vertex ids are int32 neighbour array entries
+_DIMACS_MAX_N = (1 << 31) - 1
 
 
 def read_dimacs(text: str) -> CommGraph:
     """The graph of a DIMACS edge text; PcgError when it is malformed, names
-    a vertex out of range or a self-loop, or holds another number of edge
-    lines than its header promises (a repeated edge line counts).
+    a vertex out of range or a self-loop, has more vertices than int32 ids
+    can name, or holds another number of edge lines than its header
+    promises (a repeated edge line counts).
 
     Text in the form to_dimacs writes is parsed in one pass; any other text,
     or one that fails a check, is read line by line, which names the first
     bad line."""
     head = _DIMACS_HEAD.match(text)
-    if head is not None and _edge_lines(text, head.end()):
+    if head is not None and int(head[1]) <= _DIMACS_MAX_N and _edge_lines(text, head.end()):
         n, m = int(head[1]), int(head[2])
         ends = np.fromstring(text[head.end():].replace("e", ""), dtype=np.int64, sep=" ") - 1
         if (len(ends) == 2 * m and ((ends >= 0) & (ends < n)).all()
@@ -462,6 +554,9 @@ def _read_dimacs_lines(text: str) -> CommGraph:
                     or not (parts[2].isdecimal() and parts[3].isdecimal())):
                 raise PcgError(f"bad DIMACS header on line {ln}: {line!r}")
             n, m = int(parts[2]), int(parts[3])
+            if n > _DIMACS_MAX_N:
+                raise PcgError(f"DIMACS header on line {ln} names more than "
+                               f"{_DIMACS_MAX_N} vertices: {line!r}")
             ends = []
         elif line.startswith("e"):
             if ends is None:

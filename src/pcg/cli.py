@@ -265,7 +265,7 @@ def _load_or_build_cached(cache_dir: str, spec: str):
             vids = None
         if vids is not None and vids == sorted(set(vids)):
             return classify.CachedGraph(
-                graph=cg.CommGraph(graph.n, graph.rows, spec=G.name,
+                graph=cg.CommGraph(graph.n, csr=graph.csr, spec=G.name,
                                    vids=vids, group=G),
                 reduced_n=reduced_n,
             )

@@ -8,16 +8,18 @@ a central subgroup.  Equal elements always have identical encodings, so
 element equality is byte equality.
 
 A group stores no encodings.  It holds one (n, w) uint16 block of rows, the
-big-endian 16-bit codes that follow each payload's tag (Kind.to_array), and
-one uint64 key per row: the codes read as mixed-radix digits, most
+big-endian 16-bit codes that follow each payload's tag (Kind.to_array).  An
+element's uint64 key is its codes read as mixed-radix digits, most
 significant first, the radix of a column being the permutation degree, the
-field size or the Frobenius period.  Every code is below its radix, so key
-order is payload byte order, and finding elements is one searchsorted in the
-sorted keys.  Encodings are made only where they leave the group: Elements,
-rendering, witnesses and scalar walks.  A coset is represented by its member
-of least key, which is its minimum encoding; a central quotient finds it with
-the left maps of the subgroup, and modulo the trivial subgroup a quotient
-shares its cover's table and index maps.
+field size or the Frobenius period (Kind.keys).  Every code is below its
+radix, so key order is payload byte order, and finding elements is one
+searchsorted in the sorted keys, which a group keeps beside the index of
+each.  A group keeps no keys in element order: the few places that read
+them compute them from the rows.  Encodings are made only where they leave
+the group: Elements, rendering, witnesses and scalar walks.  A coset is
+represented by its member of least key, which is its minimum encoding; a
+central quotient finds it with the left maps of the subgroup, and modulo
+the trivial subgroup a quotient shares its cover's table and index maps.
 
 Groups are built by breadth-first closure in a fixed deterministic order
 (generators sorted by encoding, FIFO queue, fixed chunk size), so regenerating
@@ -725,19 +727,21 @@ class Element:
 
 
 class _Table:
-    """Element rows in first-seen order with their keys, and the keys sorted
-    beside the index of each, so a batch of keys is found by one searchsorted.
+    """Element rows in first-seen order, and their keys sorted beside the
+    index of each, so a batch of keys is found by one searchsorted.  The
+    keys in row order are not kept: where they are read, they are computed
+    from the rows (Kind.keys).
 
-    A closure grows a table in place (add) up to grow_to rows; rows and keys
-    are then buffers whose first n entries are in use, trimmed when it is
-    frozen.  When the kind's key space is small enough (_DENSE,
-    _DENSE_PER_ROW), a growing table holds dense[key] = index + 1, 0 for a key
-    it lacks, so find is one gather and add one scatter, and freeze reads the
-    sorted keys and their indices off it; otherwise add merges each batch
-    into the sorted keys.
+    A closure grows a table in place (add) up to grow_to rows; rows is then
+    a buffer whose first n entries are in use, trimmed when it is frozen.
+    When the kind's key space is small enough (_DENSE, _DENSE_PER_ROW), a
+    growing table holds dense[key] = index + 1, 0 for a key it lacks, so
+    find is one gather and add one scatter, and freeze reads the sorted
+    keys and their indices off it; otherwise add merges each batch into the
+    sorted keys.
     """
 
-    __slots__ = ("kind", "rows", "keys", "n", "sorted", "perm", "dense")
+    __slots__ = ("kind", "rows", "n", "sorted", "perm", "dense")
 
     def __init__(self, kind: Kind, rows, grow_to: int = 0):
         rows = np.asarray(rows, dtype=np.uint16)
@@ -748,10 +752,10 @@ class _Table:
             raise ConstructionError("element row code out of range")
         self.kind = kind
         self.rows = rows
-        self.keys = kind.keys(rows)
         self.n = len(rows)
-        perm = np.argsort(self.keys, kind="stable")
-        self.sorted = self.keys[perm]
+        keys = kind.keys(rows)
+        perm = np.argsort(keys, kind="stable")
+        self.sorted = keys[perm]
         self.perm = perm.astype(np.int32)
         if (self.sorted[1:] == self.sorted[:-1]).any():
             raise ConstructionError("duplicate elements in table")
@@ -760,7 +764,7 @@ class _Table:
         if space <= min(_DENSE, _DENSE_PER_ROW * grow_to):
             # calloc'd: pages no key reaches are never touched
             self.dense = np.zeros(space, dtype=np.int32)
-            self.dense[self.keys.view(np.int64)] = np.arange(1, self.n + 1)
+            self.dense[keys.view(np.int64)] = np.arange(1, self.n + 1)
 
     def find(self, keys) -> np.ndarray:
         """The index of each key's element, -1 where it has none."""
@@ -781,9 +785,7 @@ class _Table:
             grown = np.empty((size, self.rows.shape[1]), dtype=np.uint16)
             grown[:n] = self.rows[:n]
             self.rows = grown
-            self.keys = np.concatenate([self.keys[:n], np.empty(size - n, dtype=np.uint64)])
         self.rows[n:n + m] = rows
-        self.keys[n:n + m] = keys
         self.n = n + m
         if self.dense is not None:
             self.dense[keys.view(np.int64)] = np.arange(n + 1, n + m + 1, dtype=np.int32)
@@ -812,8 +814,7 @@ class _Table:
             self.dense = None
         if len(self.rows) != self.n:
             self.rows = self.rows[:self.n].copy()
-            self.keys = self.keys[:self.n].copy()
-        for a in (self.rows, self.keys, self.sorted, self.perm):
+        for a in (self.rows, self.sorted, self.perm):
             a.flags.writeable = False
         return self
 
@@ -891,7 +892,7 @@ def _greedy_gens(G: "Group") -> list[int]:
     while not have.all():
         out.append(int(np.argmin(have)))
         t, _ = _mulclose(G.kind, G.rows[out], cap=n)
-        idx = G._t.find(t.keys)
+        idx = G._t.find(t.sorted)
         if (idx < 0).any():
             raise ConstructionError("could not generate group from its own elements")
         have[idx] = True
@@ -905,10 +906,10 @@ def _greedy_gens(G: "Group") -> list[int]:
 class Group:
     """An explicitly enumerated finite group.
 
-    rows[i] holds the codes of element i (Kind.to_array) and keys[i] its key
-    (Kind.keys); element 0 is the identity.  The element order is part of the
-    contract: rebuilding a group from the same spec gives the same table.
-    Payloads are made on request, by payload(s), element(s) and generators.
+    rows[i] holds the codes of element i (Kind.to_array); element 0 is the
+    identity.  The element order is part of the contract: rebuilding a group
+    from the same spec gives the same table.  Payloads are made on request,
+    by payload(s), element(s) and generators.
     """
 
     def __init__(self, kind, rows, gens, name="", parent=None, proj=None, _table=None):
@@ -918,7 +919,6 @@ class Group:
         self.kind = kind
         self._t = t
         self.rows = t.rows
-        self.keys = t.keys
         self.gens = list(gens)
         self.name = name
         self.parent = parent
@@ -1349,14 +1349,14 @@ class Group:
 
         t = _Table(self.kind, self.rows[:1], grow_to=n)
         gens: list[np.ndarray] = []
-        # seeds in payload order, which is key order
-        todo = sorted({self._index(s) for s in seeds} - {0},
-                      key=self.keys.__getitem__, reverse=True)
+        # seeds in payload order, which is key order, popped from the end
+        todo = np.array(sorted({self._index(s) for s in seeds} - {0}), dtype=np.intp)
+        todo = todo[np.argsort(self.kind.keys(self.rows[todo]))[::-1]].tolist()
         maps = self.conjugation_maps()
         try:
             while todo:
                 s = todo.pop()
-                if t.find(self.keys[s:s + 1])[0] >= 0:
+                if t.find(self.kind.keys(self.rows[s:s + 1]))[0] >= 0:
                     continue
                 _extend_closure(t, gens, [self.rows[s]], heavy)
                 gens.append(self.rows[s])
@@ -1461,9 +1461,12 @@ def central_quotient(G: Group, central_indices) -> Group:
             setattr(Q, a, getattr(G, a))
         return Q
     # column x of L lists the coset of x: its least key is the coset's
-    # representative, its least index the coset's first appearance
+    # representative, its least index the coset's first appearance; an
+    # element's place among the sorted keys orders as its key
+    place = np.empty(n, dtype=np.int32)
+    place[G._t.perm] = np.arange(n, dtype=np.int32)
     L = G.left_maps(zi)
-    rep = L[G.keys[L].argmin(axis=0), np.arange(n)]
+    rep = L[place[L].argmin(axis=0), np.arange(n)]
     first = L.min(axis=0)
     firsts = np.flatnonzero(first == np.arange(n))
     if len(firsts) * len(zp) != n:

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cg import CommGraph, _bits, complement, induced, twin_classes
+import numpy as np
+
+from .cg import CommGraph, _bits, _first_alike, _induced_csr, _twin_keep, complement, induced
 from .errors import CertificateError, GuardError, PcgError
 
 DEFAULT_BUDGET = 10**8
@@ -82,7 +84,12 @@ class _Out(Exception):
     pass
 
 
-def _hole_pass(rows, n, L, above, budget: _Budget):
+def _above(n: int, v: int) -> int:
+    """The bitset of the vertices above v, of n vertices."""
+    return ((1 << n) - 1) >> (v + 1) << (v + 1)
+
+
+def _hole_pass(rows, n, L, budget: _Budget):
     """One iterative-deepening pass: find an induced L-cycle, or report how
     deep the canonical chordless paths go.
 
@@ -94,7 +101,8 @@ def _hole_pass(rows, n, L, above, budget: _Budget):
     reached = False
     for v0 in range(n):
         root_row = rows[v0]
-        cands0 = root_row & above[v0]
+        above0 = _above(n, v0)
+        cands0 = root_row & above0
         if not cands0:
             continue
         # per-level state; path[k] has blocked_mid = N(v1)|..|N(v_{k-1})
@@ -116,17 +124,16 @@ def _hole_pass(rows, n, L, above, budget: _Budget):
             budget.left -= 1
             k = len(path)  # w becomes path[k]
             path.append(w)
+            if k == 1:
+                above1 = _above(n, w)
             new_mid = mid_stack[-1] | (rows[path[-2]] if k >= 2 else 0)
             mid_stack.append(new_mid)
             if k + 1 == L - 1:
                 reached = True
                 # close: adjacent to head and root, clear of the interior
                 # vertices' neighborhoods (which already cover the path
-                # itself), larger than the root and the second vertex
-                closers = (
-                    rows[w] & root_row & ~new_mid
-                    & above[v0] & above[path[1]]
-                )
+                # itself), larger than the second vertex (so than the root)
+                closers = rows[w] & root_row & ~new_mid & above1
                 if closers:
                     c = (closers & -closers).bit_length() - 1
                     return tuple(path) + (c,), True
@@ -135,7 +142,7 @@ def _hole_pass(rows, n, L, above, budget: _Budget):
                 mid_stack.pop()
                 continue
             # plain extension: adjacent to the head only, nothing earlier
-            cand_stack.append(rows[w] & ~new_mid & ~root_row & above[v0])
+            cand_stack.append(rows[w] & ~new_mid & ~root_row & above0)
     return None, reached
 
 
@@ -154,13 +161,12 @@ def find_odd_hole(g: CommGraph, min_len: int = 5, max_len: int | None = None,
     n = g.n
     top = n if max_len is None else min(max_len, n)
     rows = g.rows
-    above = [((1 << n) - 1) >> (v + 1) << (v + 1) for v in range(n)]
     b = _Budget(budget)
     done_to = 0
     L = min_len
     try:
         while L <= top:
-            found, reached = _hole_pass(rows, n, L, above, b)
+            found, reached = _hole_pass(rows, n, L, b)
             if found:
                 return FindResult(Witness("odd-hole", found, L),
                                   True, budget - b.left, L)
@@ -197,32 +203,16 @@ def find_odd_antihole(g: CommGraph, min_len: int = 7, max_len: int | None = None
 # structural certificates
 
 
-def _components(g: CommGraph):
-    seen = 0
-    comps = []
-    for s in range(g.n):
-        if seen >> s & 1:
-            continue
-        comp = 1 << s
-        frontier = 1 << s
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.rows[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def union_of_cliques_certificate(g: CommGraph) -> bool:
-    """True iff every connected component is complete."""
-    for comp in _components(g):
-        for u in _bits(comp):
-            if g.rows[u] | (1 << u) != comp:
-                return False
-    return True
+    """True iff every connected component is complete, read off the
+    neighbour arrays: exactly when each vertex's degree is one less than
+    the size of its closed twin class (the vertices of equal closed
+    neighbourhood).  The class of a vertex u lies in u's closed
+    neighbourhood, so the degree rule makes that neighbourhood the class,
+    a clique with no edge leaving it."""
+    off, idx = g.csr
+    lead = _first_alike(off, idx, np.arange(g.n), closed=True)
+    return bool((np.diff(off) == np.bincount(lead, minlength=g.n)[lead] - 1).all())
 
 
 def grid_certificate(g: CommGraph, row_labels, col_labels) -> bool:
@@ -296,18 +286,39 @@ def prune(g: CommGraph) -> list[int]:
     neighbourhood a clique) nor universal; for twins see cg.twin_classes.
     So the graph induced on the result is Berge exactly when g is, and each
     of its odd holes and antiholes is one of g's.
+
+    The deletion scan reads the bitset rows; the twin pass is
+    cg._twin_keep on the neighbour arrays of the graph induced on the
+    vertices left, as in cg.collapse_twins.
     """
     rows = g.rows
+    off, idx = g.csr
     alive = (1 << g.n) - 1
+    keep = np.arange(g.n)
     while True:
-        before = alive
-        for u in _bits(alive):
+        for u in keep.tolist():
             nb = rows[u] & alive
             if nb | 1 << u == alive or _is_clique(rows, nb):
                 alive ^= 1 << u
-        alive = sum(1 << c[0] for c in twin_classes(rows, alive))
-        if alive == before:
-            return _bits(alive)
+        left = _bitset_members(alive, g.n)
+        kept = left[_twin_keep(*_induced_csr(off, idx, left), len(left))]
+        if len(kept) == len(keep):
+            return kept.tolist()
+        keep = kept
+        alive = _members_bitset(kept, g.n)
+
+
+def _bitset_members(x: int, n: int) -> np.ndarray:
+    """The members, ascending, of the bitset x on n vertices."""
+    raw = np.frombuffer(x.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, count=n, bitorder="little"))
+
+
+def _members_bitset(vs, n: int) -> int:
+    """The bitset of the vertices vs on n vertices."""
+    bits = np.zeros(n, dtype=bool)
+    bits[vs] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def line_graph_labels(g: CommGraph):

@@ -203,7 +203,7 @@ TABLE_ROWS = (
 
 
 def _collapse_reference(g):
-    # the bitset collapse: twin classes of the rows, then _subrows
+    # the bitset collapse: twin classes of the rows, then the induced graph
     return induced(g, [c[0] for c in twin_classes(g.rows, (1 << g.n) - 1)])
 
 
@@ -373,6 +373,15 @@ def test_dimacs_rejects_malformed():
     for text in ("p edge x 0\n", "p edge 3 1\ne 1 y\n", "p edge 3 1\ne 1\n"):
         with pytest.raises(PcgError, match="bad DIMACS"):
             read_dimacs(text)
+
+
+@pytest.mark.parametrize("text", ["p edge 99999999999999999999 0\n",
+                                  "c x\np edge 99999999999999999999 0\n"])
+def test_dimacs_rejects_vertex_counts_past_int32(text):
+    # vertex ids are int32; a count past a C long must raise PcgError, the
+    # error the cache reader's corrupt-file check catches
+    with pytest.raises(PcgError, match="more than 2147483647 vertices"):
+        read_dimacs(text)
 
 
 def test_dimacs_counts_header():

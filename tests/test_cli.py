@@ -247,6 +247,29 @@ def test_main_analyze_cache_rebuilds_malformed_body(tmp_path, capsys):
         assert fh.read() == good
 
 
+def test_main_analyze_cache_rebuilds_huge_vertex_count(tmp_path, capsys):
+    # a digest-valid body whose p line names more vertices than a C long
+    # holds is a corrupt file, not a crash
+    d = str(tmp_path / "cache")
+    main(["analyze", "sl:3:2", "--cache-dir", d])
+    capsys.readouterr()
+    path = cli._cache_path(d, "sl:3:2", False, True, True)
+    with open(path, "rb") as fh:
+        good = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        body = fh.read().split("\n", 3)[3]
+    bad = re.sub(r"^p edge \d+", "p edge 99999999999999999999", body, flags=re.M)
+    assert bad != body
+    _rewrite_cache_body(path, bad)
+    assert cli.read_cache(path) is None
+    rc = main(["analyze", "sl:3:2", "--cache-dir", d])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "match yes" in out
+    with open(path, "rb") as fh:
+        assert fh.read() == good
+
+
 @pytest.mark.parametrize("tamper", ["digest", "p line"])
 def test_main_analyze_cache_rebuilds_reduced_file(tmp_path, capsys, tamper):
     # the reduced file only gives its vertex count, read off the p line;

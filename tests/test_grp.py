@@ -195,8 +195,9 @@ def test_closure_matches_scalar_bfs(spec, dense):
     assert [m.tolist() for m in maps] == want
     # the frozen table: no index, sorted keys beside their indices
     assert t.dense is None and not t.sorted.flags.writeable
-    assert np.array_equal(t.sorted, np.sort(t.keys))
-    assert np.array_equal(t.keys[t.perm], t.sorted)
+    keys = k.keys(t.rows)
+    assert np.array_equal(t.sorted, np.sort(keys))
+    assert np.array_equal(keys[t.perm], t.sorted)
     assert np.array_equal(G.rows, t.rows) and np.array_equal(G._t.perm, t.perm)
 
 
@@ -786,9 +787,10 @@ _KEY_SPECS = ["sym:6", "sl:3:4", "aut-sl2-8", "prod(sym:3,sym:3,sym:3)",
 def test_keys_order_elements_as_payload_bytes(spec):
     G = build(spec)
     payloads = G.payloads(range(len(G)))
+    keys = G.kind.keys(G.rows)
     assert sorted(range(len(G)), key=payloads.__getitem__) == np.argsort(
-        G.keys, kind="stable").tolist()
-    assert np.array_equal(G.kind.keys(G.kind.to_array(payloads)), G.keys)
+        keys, kind="stable").tolist()
+    assert np.array_equal(G.kind.keys(G.kind.to_array(payloads)), keys)
     assert [G.lookup(p) for p in payloads] == list(range(len(G)))
     assert [G.payload(i) for i in range(0, len(G), 97)] == payloads[::97]
 
@@ -828,7 +830,8 @@ def test_keys_wider_than_64_bits_are_refused():
 
 
 def test_groups_hold_no_per_element_objects():
-    # lists, tuples, dicts and sets are per-class or per-generator at most
+    # lists, tuples, dicts and sets are per-class or per-generator at most,
+    # and the one array of keys is the sorted one that lookups search
     classify.analyze("psl:3:4")
     Q = build("psl:3:4")
     G = Q.parent
@@ -839,9 +842,12 @@ def test_groups_hold_no_per_element_objects():
         H.reduced_vertices()
         values = list(vars(H).values())
         values += [getattr(v, a) for v in values for a in getattr(type(v), "__slots__", ())]
+        values += [a for v in values if isinstance(v, (list, tuple)) for a in v]
         for v in values:
             if isinstance(v, (list, tuple, dict, set)):
                 assert len(v) < len(H), (H, type(v), len(v))
+            if isinstance(v, np.ndarray) and v.dtype == np.uint64 and len(v) >= len(H):
+                assert v is H._t.sorted, (H, len(v))
 
 
 @pytest.mark.parametrize("spec", ["psu:3:3", "psl:3:3", "cq(sl:2:4)"])
@@ -850,8 +856,9 @@ def test_quotient_by_trivial_centre_shares_its_cover(spec):
     G = Q.parent
     assert G.center() == (0,)
     assert np.array_equal(Q.proj, np.arange(len(G)))
-    assert Q.rows is G.rows and Q.keys is G.keys
+    assert Q.rows is G.rows and Q._t is G._t
+    assert np.array_equal(Q.kind.keys(Q.rows), G.kind.keys(G.rows))
     assert all(a is b for a, b in zip(Q.right_maps(), G.right_maps()))
     assert all(a is b for a, b in zip(Q._class_arrays(), G._class_arrays()))
     assert Q.payloads(range(len(Q))) == [b"C" + p for p in G.payloads(range(len(G)))]
-    assert not G.rows.flags.writeable and not G.keys.flags.writeable
+    assert not G.rows.flags.writeable and not G._t.sorted.flags.writeable

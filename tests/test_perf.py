@@ -3,13 +3,26 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
-from pcg.cg import CommGraph, build_graph, collapse_twins, complement, induced
+from pcg import cg
+from pcg.cg import (
+    CommGraph,
+    _induced_csr,
+    _twin_keep,
+    build_graph,
+    build_reduced,
+    collapse_twins,
+    complement,
+    induced,
+    twin_classes,
+)
 from pcg.errors import CertificateError, GuardError, PcgError
 from pcg.named import build
 from pcg.perf import (
     Witness,
+    _is_clique,
     find_odd_antihole,
     find_odd_hole,
     grid_certificate,
@@ -316,3 +329,122 @@ def test_alt6_graphs_get_grid_without_search():
         v = is_berge(g)
         assert time.perf_counter() - t0 < 1.0
         assert (v.certificate, v.steps) == ("grid", 0)
+
+
+# -- the array prune and certificate against their bitset references --------
+
+
+def _bits(x):
+    return [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+def _prune_reference(g):
+    # the bitset prune: the deletion scan, then twin_classes on the rows
+    # restricted to the vertices left, until nothing changes
+    rows = g.rows
+    alive = (1 << g.n) - 1
+    while True:
+        before = alive
+        for u in _bits(alive):
+            nb = rows[u] & alive
+            if nb | 1 << u == alive or _is_clique(rows, nb):
+                alive ^= 1 << u
+        alive = sum(1 << c[0] for c in twin_classes(rows, alive))
+        if alive == before:
+            return _bits(alive)
+
+
+def _union_of_cliques_reference(g):
+    # every component, grown from its smallest vertex, is complete
+    seen = 0
+    for s in range(g.n):
+        if seen >> s & 1:
+            continue
+        comp = frontier = 1 << s
+        while frontier:
+            nxt = 0
+            for u in _bits(frontier):
+                nxt |= g.rows[u]
+            frontier = nxt & ~comp
+            comp |= frontier
+        seen |= comp
+        if any(g.rows[u] | 1 << u != comp for u in _bits(comp)):
+            return False
+    return True
+
+
+def _cliques(rng, n):
+    # disjoint cliques of 1 to 5 vertices, labels shuffled
+    order = list(range(n))
+    rng.shuffle(order)
+    edges, i = [], 0
+    while i < n:
+        part = order[i:i + rng.randrange(1, 6)]
+        edges += [(u, v) for u in part for v in part if u < v]
+        i += len(part)
+    return _graph(n, edges)
+
+
+def _alive_twin_keep(g, alive):
+    # the smallest member of each twin class of g's graph induced on alive,
+    # by cg._twin_keep on the induced neighbour arrays, in g's numbering
+    keep = np.array(_bits(alive), dtype=np.int64)
+    sub = _induced_csr(*g.csr, keep)
+    return keep[_twin_keep(*sub, len(keep))].tolist()
+
+
+def _collision_weights(n):
+    # three weights for all vertices: most distinct arrays share a hash, so
+    # the hash groups must be split by the entry-by-entry comparison
+    return np.arange(n, dtype=np.uint64) % np.uint64(3)
+
+
+@pytest.mark.parametrize("weights", ["splitmix", "colliding"])
+def test_array_twins_and_certificate_match_bitset_references(weights, monkeypatch):
+    if weights == "colliding":
+        monkeypatch.setattr(cg, "_weights", _collision_weights)
+    rng = random.Random(2024)
+    for _ in range(120):
+        n = rng.randrange(0, 40)
+        g = _random_graph(rng, n, rng.choice((0.05, 0.2, 0.5, 0.8, 0.95)))
+        assert prune(g) == _prune_reference(g)
+        assert union_of_cliques_certificate(g) == _union_of_cliques_reference(g)
+        alive = rng.getrandbits(n) if n else 0
+        assert _alive_twin_keep(g, alive) == [c[0] for c in twin_classes(g.rows, alive)]
+        h = _cliques(rng, n)
+        assert union_of_cliques_certificate(h) and _union_of_cliques_reference(h)
+        if n >= 2:
+            # one edge more or less breaks a union of cliques, mostly
+            u, v = rng.sample(range(n), 2)
+            rows = list(h.rows)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            flip = CommGraph(n, rows)
+            assert (union_of_cliques_certificate(flip)
+                    == _union_of_cliques_reference(flip))
+
+
+# the benchmark's table rows, and sym:8, whose collapse leaves 4585 vertices
+# in 4305 twin classes (sz:8's leaves 65 isolated vertices, one open class)
+_COLLAPSED_SPECS = [
+    "alt:6", "sl:3:2", "sl:3:4", "psl:3:4", "3a6", "sz:8", "fib(3a6,sl:2:9)",
+    "sym:6", "alt:8", "psl:2:17", "su:3:3", "psu:3:3", "aut-sl2-8",
+    "prod(sym:3,sym:3,sym:3)", "sym:8",
+]
+
+
+@pytest.mark.parametrize("spec", _COLLAPSED_SPECS)
+def test_prune_and_certificate_match_bitset_references_on_collapsed_graphs(spec):
+    g = collapse_twins(build_reduced(build(spec)))
+    classes = twin_classes(g.rows, (1 << g.n) - 1)
+    if spec in ("sz:8", "sym:8"):
+        assert len(classes) < g.n
+    assert prune(g) == _prune_reference(g)
+    assert union_of_cliques_certificate(g) == _union_of_cliques_reference(g)
+    assert _alive_twin_keep(g, (1 << g.n) - 1) == [c[0] for c in classes]
+
+
+def test_union_of_cliques_is_certified_without_packing_rows():
+    g = collapse_twins(build_reduced(build("sz:8")))
+    assert is_berge(g).certificate == "union-of-cliques"
+    assert g._rows is None
