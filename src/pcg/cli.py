@@ -231,15 +231,19 @@ def read_cache(path: str):
 
 def _cached_vertex_count(path: str) -> int | None:
     """The vertex count on a cache file's `p edge` line, read without parsing
-    its edges or vertex table; None when the file is absent or corrupt (see
-    _cache_body) or has no well-formed `p` line."""
+    its edges; None when the file is absent or corrupt (see _cache_body),
+    has no well-formed `p` line, or its count is not the number of `c v`
+    lines in its leading vertex table."""
     text = _cache_body(path)
     if text is None:
         return None
     # the first line that starts with p, as in cg.read_dimacs
     line = re.search(r"^p.*$", text, re.MULTILINE)
     head = re.fullmatch(r"p edge ([0-9]+) [0-9]+", line[0]) if line else None
-    return None if head is None else int(head[1])
+    if head is None:
+        return None
+    table = re.match(r"(?:c v [0-9]+ \S+\n)*", text)[0]
+    return int(head[1]) if int(head[1]) == table.count("\n") else None
 
 
 def _load_or_build_cached(cache_dir: str, spec: str):
@@ -250,14 +254,15 @@ def _load_or_build_cached(cache_dir: str, spec: str):
     A table that does not decode to ascending element indices, as a fresh
     graph's vertex ids are, means a rebuild, as a corrupt file does: an
     entry that is malformed, names no element of the group, or names an
-    element twice.
+    element twice.  So does a reduced vertex count below the collapsed
+    graph's, as the collapse only removes vertices.
     """
     red_path = _cache_path(cache_dir, spec, False, True, False)
     col_path = _cache_path(cache_dir, spec, False, True, True)
     G = build(spec)
     reduced_n = _cached_vertex_count(red_path)
     got_col = read_cache(col_path)
-    if reduced_n is not None and got_col is not None:
+    if reduced_n is not None and got_col is not None and reduced_n >= got_col[0].n:
         graph, encodings = got_col
         try:
             vids = wit.decode_indices(G, spec, encodings)

@@ -50,18 +50,21 @@ along the tree, whose fixed points y are the centralizer of x.
 Group facts are read off the conjugacy classes, the orbits of the
 conjugation maps, kept as one int32 class label per element beside the
 elements sorted by class; the centre is the union of the singleton classes.
-Each
-class representative's powers x, x^2, ..., x^o = 1 are walked once: the
-walk's length is the class order and its p-th entry is x^p.  reduced_vertices
-infers centralizer abelianness along power maps and central translates,
-building a centralizer mask only for the classes it leaves undecided.
-is_quasisimple needs <x^G> = G only for the non-central x whose p-th power
-is central for every prime p dividing o(x): any other x with a central prime
-power has a non-central prime power x^q, of smaller order and with
-<(x^q)^G> inside <x^G>, so by induction on the order the closures of the
-others follow.  Powers x^k with k prime to o(x) share x's closure, so it
-takes one normal closure per rational class of those x, each stopped once
-the classes it meets hold more than |G|/2 elements.
+The conjugation maps themselves are not kept: the few passes that read them
+derive them and drop them.  Each class representative's powers x, x^2, ...,
+x^o = 1 are walked once: the walk's length is the class order and its p-th
+entry is x^p.  reduced_vertices infers centralizer abelianness along power
+maps and central translates, building a centralizer mask only for the
+classes it leaves undecided.  A normal closure is a union of classes, so it
+is found by a breadth-first search over classes rather than elements: the
+classes of C_a C_g are those of a C_g for one element a of C_a, read off
+block products.  is_quasisimple needs <x^G> = G only for the non-central x
+whose p-th power is central for every prime p dividing o(x): any other x
+with a central prime power has a non-central prime power x^q, of smaller
+order and with <(x^q)^G> inside <x^G>, so by induction on the order the
+closures of the others follow.  Powers x^k with k prime to o(x) share x's
+closure, so it takes one normal closure per rational class of those x, each
+stopped once the classes it reaches hold more than |G|/2 elements.
 """
 
 from __future__ import annotations
@@ -732,13 +735,13 @@ class _Table:
     keys in row order are not kept: where they are read, they are computed
     from the rows (Kind.keys).
 
-    A closure grows a table in place (add) up to grow_to rows; rows is then
-    a buffer whose first n entries are in use, trimmed when it is frozen.
-    When the kind's key space is small enough (_DENSE, _DENSE_PER_ROW), a
-    growing table holds dense[key] = index + 1, 0 for a key it lacks, so
-    find is one gather and add one scatter, and freeze reads the sorted
-    keys and their indices off it; otherwise add merges each batch into the
-    sorted keys.
+    A closure (_mulclose) grows a table in place (add) up to grow_to rows;
+    rows is then a buffer whose first n entries are in use, trimmed when it
+    is frozen.  When the kind's key space is small enough (_DENSE,
+    _DENSE_PER_ROW), a growing table holds dense[key] = index + 1, 0 for a
+    key it lacks, so find is one gather and add one scatter, and freeze
+    reads the sorted keys and their indices off it; otherwise add merges
+    each batch into the sorted keys.
     """
 
     __slots__ = ("kind", "rows", "n", "sorted", "perm", "dense")
@@ -819,48 +822,33 @@ class _Table:
         return self
 
 
-def _extend_closure(t: _Table, gens, new, stop) -> list[list[np.ndarray]]:
-    """Grow table t, which holds the identity and is closed under right
-    multiplication by the rows gens, until it is closed under gens + new.
+def _mulclose(kind: Kind, gens, cap: int):
+    """BFS closure of generator rows from the identity: (table, maps), where
+    maps[k][i] is the index of x gens[k] for the element x at index i;
+    CapError past cap.
 
-    Elements already present are multiplied by new only, the elements this
-    adds by every generator.  CapError when stop(keys) holds for the keys of
-    a batch of new elements, before they are added.  Returns, for each
-    generator g of gens + new, the int32 chunks of the index of x g for x in
-    table order, from the first element multiplied by g.
-    """
-    kind = t.kind
-    done = t.n
-    every = list(gens) + list(new)
-    looked: list[list[np.ndarray]] = [[] for _ in every]
+    Each chunk of rows, in table order, is multiplied by every generator;
+    the products not in the table yet are appended and are multiplied in
+    their turn, so the closure ends once every row has been."""
+    t = _Table(kind, kind.to_array([kind.identity()]), grow_to=cap)
+    looked: list[list[np.ndarray]] = [[] for _ in gens]
     pos = 0
     while pos < t.n:
-        old = pos < done
-        end = min(pos + _CHUNK, done if old else t.n)
-        arr = t.rows[pos:end]
-        pos = end
-        for k in range(len(gens) if old else 0, len(every)):
-            prods = kind.canonical_rows(kind.mul_arrays(arr, every[k]))
+        arr = t.rows[pos:min(pos + _CHUNK, t.n)]
+        pos += len(arr)
+        for k, g in enumerate(gens):
+            prods = kind.canonical_rows(kind.mul_arrays(arr, g))
             keys = kind.keys(prods)
             ids = t.find(keys)
             # the products of one generator are distinct, so the missing ones
             # are new and take the next indices in order
             fresh = np.flatnonzero(ids < 0)
             if fresh.size:
-                if stop(keys[fresh]):
+                if t.n + fresh.size > cap:
                     raise CapError(f"closure stopped at {t.n} elements")
                 ids[fresh] = np.arange(t.n, t.n + fresh.size)
                 t.add(prods[fresh], keys[fresh])
             looked[k].append(ids.astype(np.int32))
-    return looked
-
-
-def _mulclose(kind: Kind, gens, cap: int):
-    """BFS closure of generator rows from the identity: (table, maps), where
-    maps[k][i] is the index of x gens[k] for the element x at index i;
-    CapError past cap."""
-    t = _Table(kind, kind.to_array([kind.identity()]), grow_to=cap)
-    looked = _extend_closure(t, [], gens, lambda keys: t.n + len(keys) > cap)
     return t.freeze(), [np.concatenate(c) for c in looked]
 
 
@@ -929,7 +917,6 @@ class Group:
         self._center = None
         self._cls = None
         self._walks: dict[int, list[bytes]] = {}
-        self._conj = None
         self._reduced = None
         self._perfect = None
         self._quasisimple = None
@@ -1107,16 +1094,18 @@ class Group:
 
     # -- masks ------------------------------------------------------------
 
-    def commute_mask(self, i: int, subset=None):
+    def commute_mask(self, i: int, subset=None, conj=None):
         """Boolean mask of elements commuting with element i.
 
         c[y] = y^-1 x y is one column of the conjugation action on x: c[0] is
         x, and along each tree edge from y to y g, (y g)^-1 x (y g) is
         g^-1 (y^-1 x y) g, one gather along the conjugation map of g, with no
         products.  The mask is c == x.  On subset, the mask's entries at
-        those indices."""
+        those indices.  conj is conjugation_maps(), derived here when not
+        given."""
         R = self.right_maps()
-        conj = self.conjugation_maps()
+        if conj is None:
+            conj = self.conjugation_maps()
         c = np.empty(len(self), dtype=np.int32)
         c[0] = i
         for k, parents in self._schreier():
@@ -1133,12 +1122,6 @@ class Group:
 
     def centralizer(self, i: int) -> list[int]:
         return np.flatnonzero(self.commute_mask(i)).tolist()
-
-    def is_abelian_subset(self, indices) -> bool:
-        """Whether the elements pairwise commute, by one commute_mask per
-        element; the reference that _is_abelian_subgroup is tested against."""
-        rows = self.rows[np.asarray(indices, dtype=np.intp)]
-        return all(self.kind.commute_mask(rows, v).all() for v in rows)
 
     def _is_abelian_subgroup(self, members) -> bool:
         """Whether the subgroup whose element indices are members (an
@@ -1179,12 +1162,10 @@ class Group:
     def conjugation_maps(self) -> list[np.ndarray]:
         """One int32 index map per generator g: maps[k][i] is the index of
         g^-1 x g for the element x at index i, read off the
-        right-multiplication maps and the tree with no products.  Classes,
-        the centre and the normal closures are read off them."""
-        if self._conj is None:
-            # conjugation by g is x -> g^-1 x g = R_g[L_{g^-1}[x]]
-            self._conj = [m.take(lm) for m, lm in zip(self.right_maps(), self._inverse_lefts())]
-        return self._conj
+        right-multiplication maps and the tree with no products.  They are
+        not kept: each caller derives them once and drops them."""
+        # conjugation by g is x -> g^-1 x g = R_g[L_{g^-1}[x]]
+        return [m.take(lm) for m, lm in zip(self.right_maps(), self._inverse_lefts())]
 
     def _class_arrays(self):
         """(label, members, starts): element i lies in class label[i], and
@@ -1196,10 +1177,11 @@ class Group:
             # label every element by the smallest index of its orbit: pull
             # the smaller label along each map, then follow labels to their
             # own labels, until a round changes nothing
+            maps = self.conjugation_maps()
             lab = np.arange(n, dtype=np.int32)
             while True:
                 new = lab
-                for m in self.conjugation_maps():
+                for m in maps:
                     new = np.minimum(new, new.take(m))
                 new = new.take(new)
                 if np.array_equal(new, lab):
@@ -1208,7 +1190,7 @@ class Group:
             # classes are numbered in order of their smallest element, the
             # label their members share; each array dropped here is 1.5 MB
             # of the sort's peak at sym:9
-            del new
+            del new, maps
             firsts = np.flatnonzero(lab == np.arange(n, dtype=np.int32))
             label = np.searchsorted(firsts, lab).astype(np.int32)
             del lab
@@ -1310,9 +1292,12 @@ class Group:
             for c in noncentral:
                 if _forced_abelian(n // int(sizes[c])):
                     settle(c, True)
+            conj = None
             for c in sorted(noncentral, key=lambda c: (self.class_order(c), c)):
                 if c not in abelian:
-                    cent = np.flatnonzero(self.commute_mask(self._class_rep(c)))
+                    if conj is None:
+                        conj = self.conjugation_maps()
+                    cent = np.flatnonzero(self.commute_mask(self._class_rep(c), conj=conj))
                     settle(c, self._is_abelian_subgroup(cent))
             keep = [members[starts[c]:starts[c + 1]] for c in noncentral if not abelian[c]]
             self._reduced = np.sort(np.concatenate(keep)) if keep else members[:0]
@@ -1325,45 +1310,53 @@ class Group:
     # -- normal structure ----------------------------------------------------
 
     def _normal_closure_size(self, seeds) -> int:
-        """Order of the normal closure N of the seed payloads.
+        """Order of the normal closure N of the seed payloads, by a
+        breadth-first search over conjugacy classes.
 
-        Seeds join the subgroup found so far one at a time, each only if it is
-        not there yet, so each at least doubles it; each queues its conjugates,
-        read off the conjugation maps, and N is reached when the queue is
-        empty.  N is a union of classes, so once the classes met hold more
-        than |G|/2 elements, N is G (Lagrange): the closure stops, giving |G|.
+        N is generated by the seeds' classes, and is a union of classes.
+        The search starts from the identity's class and, for each class C_a
+        it reaches and each seed class C_g, reaches the classes of C_a C_g.
+        Conjugating x y (x in C_a, y in C_g) so that x becomes a gives a y',
+        so for a the first element of C_a, a class of C_a C_g is a class of
+        a C_g, and likewise of C_a g for g the first element of C_g: the
+        first element of the larger class times the members of the smaller
+        one meets them all.  Every product lies in N.
+        At the end, the union S of the classes reached holds 1 and S C_g
+        lies in S for every seed class, so S holds every product of N's
+        generators: S = N.  N is G (Lagrange) once S holds more than |G|/2
+        elements, so the search stops there, giving |G|.
         """
         n = len(self)
-        label = self._class_arrays()[0]
-        unmet = self._class_sizes()
-        unmet[0] = 0  # the identity's class is met from the start
-        left = n // 2 - 1
-
-        def heavy(keys):
-            nonlocal left
-            met = np.zeros(len(unmet), dtype=bool)
-            met[label[self._t.find(keys)]] = True
-            left -= int(unmet[met].sum())
-            unmet[met] = 0
-            return left < 0
-
-        t = _Table(self.kind, self.rows[:1], grow_to=n)
-        gens: list[np.ndarray] = []
-        # seeds in payload order, which is key order, popped from the end
-        todo = np.array(sorted({self._index(s) for s in seeds} - {0}), dtype=np.intp)
-        todo = todo[np.argsort(self.kind.keys(self.rows[todo]))[::-1]].tolist()
-        maps = self.conjugation_maps()
-        try:
-            while todo:
-                s = todo.pop()
-                if t.find(self.kind.keys(self.rows[s:s + 1]))[0] >= 0:
-                    continue
-                _extend_closure(t, gens, [self.rows[s]], heavy)
-                gens.append(self.rows[s])
-                todo.extend(int(m[s]) for m in maps)
-        except CapError:
-            return n
-        return t.n
+        label, members, starts = self._class_arrays()
+        sizes = np.diff(starts)
+        k = self.kind
+        gens = sorted({int(label[self._index(s)]) for s in seeds} - {0})
+        reached = np.zeros(len(sizes), dtype=bool)
+        reached[0] = True
+        total = 1
+        queue = [0]
+        for a in queue:
+            for g in gens:
+                small, big = (a, g) if sizes[a] <= sizes[g] else (g, a)
+                x = self.rows[members[starts[big]]]
+                cls = members[starts[small]:starts[small + 1]]
+                # blocks grow, as a search that ends early needs few products
+                pos, step = 0, 64
+                while pos < len(cls):
+                    block = self.rows[cls[pos:pos + step]]
+                    pos, step = pos + step, min(4 * step, _CHUNK)
+                    prods = k.mul_arrays(block, x) if small == a else k.mul_arrays(x, block)
+                    # a mask, not np.unique, which imports numpy.ma on its first call
+                    met = np.zeros_like(reached)
+                    met[label[self._find_rows(k.canonical_rows(prods))]] = True
+                    new = np.flatnonzero(met & ~reached)
+                    if new.size:
+                        reached[new] = True
+                        total += int(sizes[new].sum())
+                        if 2 * total > n:
+                            return n
+                        queue.extend(new.tolist())
+        return total
 
     def is_perfect_group(self) -> bool:
         """True when the normal closure of generator commutators is everything."""
@@ -1425,8 +1418,8 @@ class Group:
 
 # what a quotient by the trivial subgroup takes from its cover: it is the
 # cover with every element x relabelled as the coset {x}
-_SHARED = ("_right", "_tree", "_inv", "_conj", "_cls", "_center", "_reduced",
-           "_perfect", "_quasisimple")
+_SHARED = ("_right", "_tree", "_inv", "_cls", "_center", "_reduced", "_perfect",
+           "_quasisimple")
 
 
 def central_quotient(G: Group, central_indices) -> Group:

@@ -300,6 +300,41 @@ def test_main_analyze_cache_rebuilds_reduced_file(tmp_path, capsys, tamper):
         assert fh.read() == good
 
 
+@pytest.mark.parametrize("tamper", ["huge count", "below collapsed"])
+def test_main_analyze_cache_checks_reduced_vertex_count(tmp_path, capsys, tamper):
+    # the reduced file's p count is what analyze reports; a count that is
+    # not its vertex table's length, or a consistent one below the collapsed
+    # graph's vertex count, means a rebuild, not a report of that count
+    d = str(tmp_path / "cache")
+    main(["analyze", "sl:3:2", "--cache-dir", d])
+    out1 = capsys.readouterr().out
+    assert "reduced 21" in out1.splitlines()
+    path = cli._cache_path(d, "sl:3:2", False, True, False)
+    with open(path, "rb") as fh:
+        good = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        body = fh.read().split("\n", 3)[3]
+    if tamper == "huge count":
+        bad = re.sub(r"^p edge \d+", "p edge 99999999999999999999", body, flags=re.M)
+        _rewrite_cache_body(path, bad)
+        assert cli._cached_vertex_count(path) is None
+    else:
+        # one table line and a count of 1: consistent, but the collapse
+        # cannot have more vertices than the graph it collapses
+        bad = re.sub(r"^c v [1-9].*\n", "", body, flags=re.M)
+        bad = re.sub(r"^p edge \d+", "p edge 1", bad, flags=re.M)
+        _rewrite_cache_body(path, bad)
+        assert cli._cached_vertex_count(path) == 1
+        assert cli.read_cache(cli._cache_path(d, "sl:3:2", False, True, True))[0].n > 1
+    rc = main(["analyze", "sl:3:2", "--cache-dir", d])
+    out2 = capsys.readouterr().out
+    assert rc == 0
+    strip = lambda s: [l for l in s.splitlines() if not l.startswith("seconds")]
+    assert strip(out2) == strip(out1)
+    with open(path, "rb") as fh:
+        assert fh.read() == good
+
+
 def test_main_analyze_cache_with_non_integer_matrix_code(tmp_path, capsys):
     # an encoding that does not parse names no element of the group, so
     # the file is rebuilt instead of leaving the search to decide

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from pcg import classify, grp
+from pcg import classify
 from pcg.errors import CapError, ConstructionError, PcgError
 from pcg.gf import _is_prime, ff_make, field_of_size
 from pcg.grp import (
@@ -20,7 +20,6 @@ from pcg.grp import (
     DEFAULT_CAP,
     _CHUNK,
     _DENSE,
-    _DENSE_PER_ROW,
     _TABLE_MEMO,
     _Table,
     _mulclose,
@@ -30,6 +29,13 @@ from pcg.grp import (
     quotient_align,
 )
 from pcg.named import build
+
+
+def _is_abelian_subset(G, indices):
+    # whether the elements pairwise commute, by one commute mask per element:
+    # the reference that Group._is_abelian_subgroup is tested against
+    rows = G.rows[np.asarray(indices, dtype=np.intp)]
+    return all(G.kind.commute_mask(rows, v).all() for v in rows)
 
 
 def _perm_group(deg, *gens):
@@ -328,12 +334,13 @@ def test_index_maps_match_scalar_products(spec):
     elems = G.payloads(range(n))
     rows = range(n) if n <= 1000 else random.Random(n).sample(range(n), 150)
     inv = G.inverse_map()
+    conj = G.conjugation_maps()  # derived on each call, so once here
     hs = [0, 1, n // 2, n - 1]
     L = G.left_maps(hs)
     for i in rows:
         x = elems[i]
         assert inv[i] == index(k.inv(x))
-        for g, R, C in zip(G.gens, G.right_maps(), G.conjugation_maps()):
+        for g, R, C in zip(G.gens, G.right_maps(), conj):
             assert R[i] == index(k.mul(x, g))
             assert C[i] == index(k.mul(k.mul(k.inv(g), x), g))
         for h, Lh in zip(hs, L):
@@ -496,7 +503,7 @@ def test_reduced_vertices_match_definition(spec):
     G = build(spec)
     reduced = set(G.reduced_vertices())
     for cls in G.conjugacy_classes():
-        expected = len(cls) > 1 and not G.is_abelian_subset(G.centralizer(cls[0]))
+        expected = len(cls) > 1 and not _is_abelian_subset(G, G.centralizer(cls[0]))
         assert all((i in reduced) == expected for i in cls)
 
 
@@ -511,7 +518,7 @@ def test_abelian_subgroup_matches_pairwise_check(spec):
     subgroups = [np.flatnonzero(G.commute_mask(int(c[0]))) for c in G.conjugacy_classes()]
     subgroups.append(np.arange(len(G)))
     for members in subgroups:
-        assert G._is_abelian_subgroup(members) == G.is_abelian_subset(members)
+        assert G._is_abelian_subgroup(members) == _is_abelian_subset(G, members)
     assert G._is_abelian_subgroup(np.arange(len(G))) == G.is_abelian()
 
 
@@ -562,6 +569,8 @@ def _closure_from_identity(G, seeds):
 
 @pytest.mark.parametrize("spec", [
     "sym:4", "sym:5", "gl:2:3", "sl:2:5", "3a6", "prod(sym:3,sym:3,sym:3)",
+    # proper normal subgroups (each factor), and a centre
+    "prod(alt:5,alt:5)", "sl:2:7",
 ])
 def test_normal_closure_matches_restart_from_identity(spec):
     G = build(spec)
@@ -571,20 +580,17 @@ def test_normal_closure_matches_restart_from_identity(spec):
 
 
 @pytest.mark.parametrize("spec", ["sym:5", "sl:3:3", "psl:2:17", "psl:3:4", "3a6"])
-def test_normal_closure_sizes_match_without_dense_index(spec, monkeypatch):
-    # a normal closure in G grows to at most |G| elements; its table is
-    # dense when the kind has at most _DENSE_PER_ROW keys per element of G
-    # (3a6 has 243), and gives the same sizes when every table merges keys
-    # into a sorted array
+def test_normal_closure_sizes_match_restart_on_larger_classes(spec):
+    # classes of up to 4,032 elements (psl:3:4), so the class search
+    # multiplies several blocks of growing size per pair of classes; every
+    # class alone, and the commutators of the generators
     G = build(spec)
-    space = math.prod(G.kind.radices())
-    dense = _Table(G.kind, G.rows[:1], grow_to=len(G)).dense is not None
-    assert dense == (space <= _DENSE_PER_ROW * len(G)) == (spec != "3a6")
     reps = G.payloads([cls[0] for cls in G.conjugacy_classes()])
-    sizes = [G._normal_closure_size([r]) for r in reps]
-    monkeypatch.setattr(grp, "_DENSE", 0)
-    assert _Table(G.kind, G.rows[:1], grow_to=len(G)).dense is None
-    assert [G._normal_closure_size([r]) for r in reps] == sizes
+    k = G.kind
+    commutators = [k.mul(k.mul(k.inv(a), k.inv(b)), k.mul(a, b))
+                   for a in G.gens for b in G.gens]
+    for seeds in [[r] for r in reps] + [commutators]:
+        assert G._normal_closure_size(seeds) == _closure_from_identity(G, seeds)
 
 
 def test_perfect_simple_quasisimple():
