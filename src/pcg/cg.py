@@ -20,9 +20,11 @@ int32 indices, each vertex's array ascending.  Vertex order follows group
 element order, so rebuilding a graph from the same spec reproduces it
 exactly.  Both vertex sets are unions of conjugacy classes, and conjugation
 is a graph automorphism: one commuting mask is computed per class, giving
-its first vertex's array, and every other vertex's array is that array
-transported along the generator conjugation maps, one gather per vertex.
-A class's arrays all have one length, so they are sorted as one block.
+its first vertex's array and the degree of all its vertices, and every other
+vertex's array is that array transported along the generator conjugation
+maps, a breadth-first level at a time.  The classes of one degree share one
+block of arrays, sorted row-wise by one call and written straight into the
+index array.
 
 One twin routine, _twin_keep, serves both twin passes of the pipeline:
 collapse_twins runs it on the whole graph, and perf.prune on the graph
@@ -199,52 +201,77 @@ def _adjacency(G: Group, vids):
     """Neighbour arrays (offsets, indices) on vids, which must be a union
     of conjugacy classes.
 
-    One commute_mask per class gives its first vertex's neighbour index
-    array; every other vertex of the class gets its array by one gather
-    along a generator conjugation map, since y commutes with x exactly when
-    y^g commutes with x^g.  The class's vertices all have the first one's
-    degree, so their arrays form one block, sorted row-wise by one call.
+    Conjugation is a graph automorphism: y commutes with x exactly when y^g
+    commutes with x^g.  So one commute_mask per class gives its first
+    vertex's neighbour array and every degree in the class, and the index
+    array is allocated from the degrees before any class is spread.  The
+    classes of one degree share one block of arrays, spread breadth-first
+    from their first vertices a level at a time: for each generator
+    conjugation map, the images of the level not yet reached get their
+    arrays by one gather of their sources' arrays through the map.  A map
+    permutes the vertices, so the images of one level under it are
+    distinct and each has one source.  The block is sorted row-wise by one
+    call and written into the index array at its vertices' offsets, about
+    m entries at a time, so that the int64 positions stay as small as the
+    offsets.
     """
     m = len(vids)
     sel = np.asarray(vids, dtype=np.int64)
     where = np.full(len(G), -1, dtype=np.int32)
     where[sel] = np.arange(m)
     # perms[k][u]: position of vertex u conjugated by generator k
-    perms = [where[np.asarray(cm)[sel]] for cm in G.conjugation_maps()]
+    perms = [where.take(cm.take(sel)) for cm in G.conjugation_maps()]
     if any((p < 0).any() for p in perms):
         raise PcgError("adjacency needs a vertex set closed under conjugation")
-    steps = [p.tolist() for p in perms]
     arr = G.rows[sel]
+    # seeds[d]: (first vertex, class size, its array) of the classes of
+    # degree d, which share one block
+    seeds: dict[int, list] = {}
     deg = np.zeros(m, dtype=np.int64)
-    blocks = []
     for cls in G.conjugacy_classes():
         start = int(where[cls[0]])
         if start < 0:
             continue
         mask = G.kind.commute_mask(arr, arr[start])
         mask[start] = False
-        block = np.empty((len(cls), int(mask.sum())), dtype=np.int32)
-        block[0] = np.flatnonzero(mask)
-        # slot[v]: v's row of the block; rows are filled in discovery order
-        slot = {start: 0}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for perm, step in zip(perms, steps):
-                v = step[u]
-                if v not in slot:
-                    np.take(perm, block[slot[u]], out=block[len(slot)])
-                    slot[v] = len(slot)
-                    stack.append(v)
-        block.sort(axis=1)
-        verts = np.fromiter(slot, dtype=np.int64, count=len(slot))
-        deg[verts] = block.shape[1]
-        blocks.append((verts, block))
+        nb = np.flatnonzero(mask).astype(np.int32)
+        deg[where.take(cls)] = len(nb)
+        seeds.setdefault(len(nb), []).append((start, len(cls), nb))
+    del arr, where
     off = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(deg, out=off[1:])
+    del deg
     idx = np.empty(off[-1], dtype=np.int32)
-    for verts, block in blocks:
-        idx[off[verts][:, None] + np.arange(block.shape[1])] = block
+    unseen = np.ones(m, dtype=bool)
+    for d, group in seeds.items():
+        if not d:
+            continue
+        size = sum(c for _, c, _ in group)
+        # block[r]: the array of vertex verts[r]; rows a..b are the level
+        block = np.empty((size, d), dtype=np.int32)
+        verts = np.empty(size, dtype=np.int64)
+        b = len(group)
+        for r, (start, _, nb) in enumerate(group):
+            block[r], verts[r] = nb, start
+        unseen[verts[:b]] = False
+        a = 0
+        while a < b < size:
+            e = b
+            for perm in perms:
+                img = perm.take(verts[a:b])
+                new = unseen.take(img)
+                img = img[new]
+                if img.size:
+                    unseen[img] = False
+                    verts[e:e + img.size] = img
+                    np.take(perm, block[a:b][new], out=block[e:e + img.size])
+                    e += img.size
+            a, b = b, e
+        block.sort(axis=1)
+        step = max(1, m // d)
+        cols = np.arange(d)
+        for s in range(0, size, step):
+            idx[off.take(verts[s:s + step])[:, None] + cols] = block[s:s + step]
     return off, idx
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import cg, perf, wit
 from .errors import PcgError
+from .grp import drop_conjugation_maps
 from .named import build, parse_spec, render_spec
 from .perf import Witness, verify_witness
 
@@ -180,6 +181,10 @@ def analyze(spec: str, include_center: bool = False,
     G = build(key)
     order = len(G)
     center = len(G.center())
+    # the classes, the centralizer facts and the adjacency share one set of
+    # conjugation maps, which the rest of the pipeline does not read
+    if cached is not None:
+        drop_conjugation_maps()
     quasisimple = G.is_quasisimple()
     if cached is not None:
         graph = cached.graph
@@ -193,6 +198,7 @@ def analyze(spec: str, include_center: bool = False,
             graph = cg.build_reduced(G)
         reduced_n = graph.n
         ac_group = G.is_ac_group()
+        drop_conjugation_maps()
         graph = cg.collapse_twins(graph)
     rows, cols = grid_labels(graph) or (None, None)
     verdict = perf.is_berge(graph, budget=budget, max_len=max_len,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import cg, classify, perf, wit
 from .errors import CertificateError, PcgError, SpecParseError
+from .grp import drop_conjugation_maps
 from .named import build, parse_spec, render_spec
 
 CERT_VERSION = 1
@@ -275,6 +276,8 @@ def _load_or_build_cached(cache_dir: str, spec: str):
                 reduced_n=reduced_n,
             )
     g1 = cg.build_reduced(G)
+    # the adjacency was the conjugation maps' last reader, as in analyze
+    drop_conjugation_maps()
     g2 = cg.collapse_twins(g1)
     write_cache(red_path, g1, spec)
     write_cache(col_path, g2, spec)

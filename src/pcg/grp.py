@@ -50,26 +50,30 @@ along the tree, whose fixed points y are the centralizer of x.
 Group facts are read off the conjugacy classes, the orbits of the
 conjugation maps, kept as one int32 class label per element beside the
 elements sorted by class; the centre is the union of the singleton classes.
-The conjugation maps themselves are not kept: the few passes that read them
-derive them and drop them.  Each class representative's powers x, x^2, ...,
-x^o = 1 are walked once: the walk's length is the class order and its p-th
-entry is x^p.  reduced_vertices infers centralizer abelianness along power
-maps and central translates, building a centralizer mask only for the
-classes it leaves undecided.  A normal closure is a union of classes, so it
-is found by a breadth-first search over classes rather than elements: the
-classes of C_a C_g are those of a C_g for one element a of C_a, read off
-block products.  is_quasisimple needs <x^G> = G only for the non-central x
-whose p-th power is central for every prime p dividing o(x): any other x
-with a central prime power has a non-central prime power x^q, of smaller
-order and with <(x^q)^G> inside <x^G>, so by induction on the order the
-closures of the others follow.  Powers x^k with k prime to o(x) share x's
-closure, so it takes one normal closure per rational class of those x, each
-stopped once the classes it reaches hold more than |G|/2 elements.
+The conjugation maps are derived on first use into one slot, which holds the
+maps of one group at a time: the classes, the centralizer masks and the
+adjacency of one analysis share them, and the analysis empties the slot
+(drop_conjugation_maps) before its twin collapse.  Each class
+representative's powers x, x^2, ..., x^o = 1 are walked once: the walk's
+length is the class order and its p-th entry is x^p.  reduced_vertices
+infers centralizer abelianness along power maps and central translates,
+building a centralizer mask only for the classes it leaves undecided.  A
+normal closure is a union of classes, so it is found by a breadth-first
+search over classes rather than elements: the classes of C_a C_g are those
+of a C_g for one element a of C_a, read off block products.  is_quasisimple
+needs <x^G> = G only for the non-central x whose p-th power is central for
+every prime p dividing o(x): any other x with a central prime power has a
+non-central prime power x^q, of smaller order and with <(x^q)^G> inside
+<x^G>, so by induction on the order the closures of the others follow.
+Powers x^k with k prime to o(x) share x's closure, so it takes one normal
+closure per rational class of those x, each stopped once the classes it
+reaches hold more than |G|/2 elements.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -151,6 +155,14 @@ class Kind:
         raise NotImplementedError
 
     def parse_render(self, s: str) -> bytes:
+        raise NotImplementedError
+
+    def text_rows(self, ints):
+        """The rows that render's integers give, for a block of rendered
+        encodings (row r of ints holds encoding r's integers in text
+        order), and whether each one's other integers, such as a field
+        size, fit this kind.  A row may still be out of range, or no
+        element's row; parse_render settles those."""
         raise NotImplementedError
 
     # bulk operations ------------------------------------------------------
@@ -275,6 +287,9 @@ class PermKind(Kind):
             raise PcgError(f"bad perm encoding: {s!r}")
         return self.make(tuple(int(t) - 1 for t in s[5:].split(",")))
 
+    def text_rows(self, ints):
+        return ints - 1, np.ones(len(ints), dtype=bool)
+
     def mul_arrays(self, A, B):
         # (a*b)(i) = a(b(i)): a's images indexed by b's
         return A[..., B] if B.ndim == 1 else A.take(B)
@@ -355,6 +370,9 @@ class MatKind(Kind):
         if int(parts[1]) != self.field.q or int(parts[2]) != self.n:
             raise PcgError(f"mat encoding {s!r} does not match GF({self.field.q})^{self.n}")
         return self.make(tuple(int(t) for t in parts[3].split(",")))
+
+    def text_rows(self, ints):
+        return ints[:, 2:], (ints[:, 0] == self.field.q) & (ints[:, 1] == self.n)
 
     def _table(self, M):
         """T[c] = v M for the vector v with code c, M an n x n array;
@@ -465,6 +483,10 @@ class SemiKind(Kind):
         jtxt, mat = rest.split(":", 1)
         return self.make(self.base.parse_render(mat), int(jtxt))
 
+    def text_rows(self, ints):
+        rows, ok = self.base.text_rows(ints[:, 1:])
+        return np.hstack([ints[:, :1], rows]), ok
+
     def mul_arrays(self, A, B):
         j = (A[..., :1] + B[..., :1]) % self.period
         if A.ndim == 1:
@@ -548,6 +570,12 @@ class PairKind(Kind):
                 )
         raise PcgError(f"bad pair encoding: {s!r}")
 
+    def text_rows(self, ints):
+        cut = len(re.findall("[0-9]+", self.left.render(self.left.identity())))
+        a, ok_a = self.left.text_rows(ints[:, :cut])
+        b, ok_b = self.right.text_rows(ints[:, cut:])
+        return np.hstack([a, b]), ok_a & ok_b
+
     def to_array(self, payloads):
         halves = list(map(self.split, payloads))
         return np.hstack([self.left.to_array([a for a, _ in halves]),
@@ -625,6 +653,9 @@ class CosetKind(Kind):
         if not s.startswith("coset:"):
             raise PcgError(f"bad coset encoding: {s!r}")
         return self.make(self.base.parse_render(s[6:]))
+
+    def text_rows(self, ints):
+        return self.base.text_rows(ints)
 
     # bulk (delegated to the base kind) -----------------------------------
 
@@ -852,6 +883,15 @@ def _mulclose(kind: Kind, gens, cap: int):
     return t.freeze(), [np.concatenate(c) for c in looked]
 
 
+# the slot of Group.conjugation_maps: a group and its maps
+_CONJ: list = [None, None]
+
+
+def drop_conjugation_maps() -> None:
+    """Empty the slot that Group.conjugation_maps fills."""
+    _CONJ[:] = None, None
+
+
 def generate(gens, cap: int = DEFAULT_CAP, name: str = "") -> "Group":
     """Group generated by a list of Elements, breadth-first, deterministic."""
     if not gens:
@@ -961,14 +1001,11 @@ class Group:
         # a payload with a foreign tag can have a member's codes
         return int(t.perm[pos]) if self.kind.encode(codes) == p else -1
 
-    def lookup_parsed(self, payloads) -> np.ndarray:
-        """lookup for each of a batch of payloads that this group's kind's
-        parse_render made, by one find of their keys: the index of each
-        one's element, -1 where it names none.  parse_render gives the
-        kind's tag and codes in range, which lookup checks one by one."""
-        if not payloads:
-            return np.zeros(0, dtype=np.int32)
-        return self._t.find(self.kind.keys(self.kind.to_array(payloads)))
+    def lookup_rows(self, rows) -> np.ndarray:
+        """The index of each row's element, -1 where a row is no element's
+        row, by one find of their keys.  Every code must be below its
+        radix, which lookup checks one payload at a time."""
+        return self._t.find(self.kind.keys(rows))
 
     def _index(self, p: bytes) -> int:
         i = self.lookup(p)
@@ -1094,18 +1131,16 @@ class Group:
 
     # -- masks ------------------------------------------------------------
 
-    def commute_mask(self, i: int, subset=None, conj=None):
+    def commute_mask(self, i: int, subset=None):
         """Boolean mask of elements commuting with element i.
 
         c[y] = y^-1 x y is one column of the conjugation action on x: c[0] is
         x, and along each tree edge from y to y g, (y g)^-1 x (y g) is
         g^-1 (y^-1 x y) g, one gather along the conjugation map of g, with no
         products.  The mask is c == x.  On subset, the mask's entries at
-        those indices.  conj is conjugation_maps(), derived here when not
-        given."""
+        those indices."""
         R = self.right_maps()
-        if conj is None:
-            conj = self.conjugation_maps()
+        conj = self.conjugation_maps()
         c = np.empty(len(self), dtype=np.int32)
         c[0] = i
         for k, parents in self._schreier():
@@ -1162,10 +1197,18 @@ class Group:
     def conjugation_maps(self) -> list[np.ndarray]:
         """One int32 index map per generator g: maps[k][i] is the index of
         g^-1 x g for the element x at index i, read off the
-        right-multiplication maps and the tree with no products.  They are
-        not kept: each caller derives them once and drops them."""
-        # conjugation by g is x -> g^-1 x g = R_g[L_{g^-1}[x]]
-        return [m.take(lm) for m, lm in zip(self.right_maps(), self._inverse_lefts())]
+        right-multiplication maps and the tree with no products.
+
+        One slot holds the maps of one group: they are derived on first
+        use, read again by the classes, the centralizer masks and the
+        adjacency of an analysis, and held until drop_conjugation_maps or
+        until another group's maps replace them."""
+        if _CONJ[0] is not self:
+            drop_conjugation_maps()
+            # conjugation by g is x -> g^-1 x g = R_g[L_{g^-1}[x]]
+            _CONJ[:] = self, [m.take(lm) for m, lm in
+                              zip(self.right_maps(), self._inverse_lefts())]
+        return _CONJ[1]
 
     def _class_arrays(self):
         """(label, members, starts): element i lies in class label[i], and
@@ -1177,11 +1220,10 @@ class Group:
             # label every element by the smallest index of its orbit: pull
             # the smaller label along each map, then follow labels to their
             # own labels, until a round changes nothing
-            maps = self.conjugation_maps()
             lab = np.arange(n, dtype=np.int32)
             while True:
                 new = lab
-                for m in maps:
+                for m in self.conjugation_maps():
                     new = np.minimum(new, new.take(m))
                 new = new.take(new)
                 if np.array_equal(new, lab):
@@ -1189,8 +1231,9 @@ class Group:
                 lab = new
             # classes are numbered in order of their smallest element, the
             # label their members share; each array dropped here is 1.5 MB
-            # of the sort's peak at sym:9
-            del new, maps
+            # of the sort's peak at sym:9 (the maps stay: the analysis reads
+            # them again)
+            del new
             firsts = np.flatnonzero(lab == np.arange(n, dtype=np.int32))
             label = np.searchsorted(firsts, lab).astype(np.int32)
             del lab
@@ -1292,12 +1335,9 @@ class Group:
             for c in noncentral:
                 if _forced_abelian(n // int(sizes[c])):
                     settle(c, True)
-            conj = None
             for c in sorted(noncentral, key=lambda c: (self.class_order(c), c)):
                 if c not in abelian:
-                    if conj is None:
-                        conj = self.conjugation_maps()
-                    cent = np.flatnonzero(self.commute_mask(self._class_rep(c), conj=conj))
+                    cent = np.flatnonzero(self.commute_mask(self._class_rep(c)))
                     settle(c, self._is_abelian_subgroup(cent))
             keep = [members[starts[c]:starts[c + 1]] for c in noncentral if not abelian[c]]
             self._reduced = np.sort(np.concatenate(keep)) if keep else members[:0]

@@ -25,6 +25,11 @@ from .grp import Element, Group, MatKind, PairKind, PermKind
 from .named import SymplecticContext, UnitaryContext, build
 from .perf import induces, pattern_ok
 
+# the batch parse of decode_indices: the digits, and a byte table that
+# keeps them and turns every other byte into a space
+_DIGITS = b"0123456789"
+_SPACES = bytes(c if c in _DIGITS else 32 for c in range(256))
+
 
 @dataclass(frozen=True)
 class ElementTuple:
@@ -78,26 +83,38 @@ def decode_indices(G: Group, spec: str, encodings) -> list[int]:
     encoding is malformed or names no element of G, for the first such
     encoding in input order.
 
-    The encodings are parsed up to the first malformed one, and the ones
-    parsed are looked up as one batch (Group.lookup_parsed)."""
+    When the encodings are ASCII and each has the text of the kind's render
+    of the identity between its integers, they are parsed as one batch: one
+    numpy parse reads every integer, Kind.text_rows turns them into rows,
+    and one find looks the rows up.  The encodings this leaves unresolved
+    (all of them, when one is laid out otherwise) go through parse_render
+    and lookup one at a time, in input order."""
     encodings = list(encodings)
-    payloads = []
-    bad = None
-    for enc in encodings:
+    k = G.kind
+    idx = np.full(len(encodings), -1, dtype=np.int64)
+    one = k.render(k.identity()).encode()
+    try:
+        text = "\n".join(encodings).encode("ascii")
+    except UnicodeEncodeError:
+        text = b""
+    if encodings and text.translate(None, _DIGITS) == b"\n".join(
+            [one.translate(None, _DIGITS)] * len(encodings)):
+        # an empty integer shortens the parse; strtoll saturates, so an
+        # integer too long for int64 is out of every code's range
+        ints = np.fromstring(text.translate(_SPACES), dtype=np.int64, sep=" ")
+        width = np.fromstring(one.translate(_SPACES), dtype=np.int64, sep=" ").size
+        if ints.size == len(encodings) * width:
+            rows, ok = k.text_rows(ints.reshape(len(encodings), width))
+            ok &= ((rows >= 0) & (rows < np.array(k.radices()))).all(axis=1)
+            idx[ok] = G.lookup_rows(rows[ok].astype(np.uint16))
+    for i in np.flatnonzero(idx < 0).tolist():
+        enc = encodings[i]
         try:
-            payloads.append(G.kind.parse_render(enc))
+            idx[i] = G.lookup(k.parse_render(enc))
         except ValueError:
-            bad = PcgError(f"malformed element encoding {enc!r}")
-            break
-        except PcgError as e:
-            bad = e
-            break
-    idx = G.lookup_parsed(payloads)
-    missing = np.flatnonzero(idx < 0)
-    if missing.size:
-        raise PcgError(f"{encodings[missing[0]]} is not an element of {spec}")
-    if bad is not None:
-        raise bad
+            raise PcgError(f"malformed element encoding {enc!r}") from None
+        if idx[i] < 0:
+            raise PcgError(f"{enc} is not an element of {spec}")
     return idx.tolist()
 
 

@@ -203,6 +203,73 @@ TABLE_ROWS = (
 )
 
 
+def _adjacency_per_vertex(G, vids):
+    """The per-vertex reference for cg._adjacency: one commuting mask per
+    class, and each other vertex's array one gather from a class-mate's
+    along a generator conjugation map, found by a depth-first walk with a
+    dict of rows; each class's arrays are sorted as one block and placed
+    into the index array at the end."""
+    m = len(vids)
+    sel = np.asarray(vids, dtype=np.int64)
+    where = np.full(len(G), -1, dtype=np.int32)
+    where[sel] = np.arange(m)
+    perms = [where[np.asarray(cm)[sel]] for cm in G.conjugation_maps()]
+    assert all((p >= 0).all() for p in perms)
+    steps = [p.tolist() for p in perms]
+    arr = G.rows[sel]
+    deg = np.zeros(m, dtype=np.int64)
+    blocks = []
+    for cls in G.conjugacy_classes():
+        start = int(where[cls[0]])
+        if start < 0:
+            continue
+        mask = G.kind.commute_mask(arr, arr[start])
+        mask[start] = False
+        block = np.empty((len(cls), int(mask.sum())), dtype=np.int32)
+        block[0] = np.flatnonzero(mask)
+        slot = {start: 0}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for perm, step in zip(perms, steps):
+                v = step[u]
+                if v not in slot:
+                    np.take(perm, block[slot[u]], out=block[len(slot)])
+                    slot[v] = len(slot)
+                    stack.append(v)
+        block.sort(axis=1)
+        verts = np.fromiter(slot, dtype=np.int64, count=len(slot))
+        deg[verts] = block.shape[1]
+        blocks.append((verts, block))
+    off = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(deg, out=off[1:])
+    idx = np.empty(off[-1], dtype=np.int32)
+    for verts, block in blocks:
+        idx[off[verts][:, None] + np.arange(block.shape[1])] = block
+    return off, idx
+
+
+def _same_arrays(g, want):
+    off, idx = g.csr
+    return np.array_equal(off, want[0]) and np.array_equal(idx, want[1])
+
+
+@pytest.mark.parametrize("spec, variant", [(s, "reduced") for s in TABLE_ROWS] + [
+    ("sym:5", "full"), ("sl:2:7", "full"), ("alt:9", "reduced"),
+])
+def test_adjacency_matches_per_vertex_reference(spec, variant):
+    # level sweeps into one CSR block give the arrays that transporting
+    # one vertex at a time gives; the full graphs hold the centre, whose
+    # classes are single vertices of degree n - 1
+    G = build(spec)
+    if variant == "full":
+        g = build_graph(G, include_center=True)
+        assert g.n == len(G)
+    else:
+        g = build_reduced(G)
+    assert _same_arrays(g, _adjacency_per_vertex(G, g.vids))
+
+
 def _collapse_reference(g):
     # the bitset collapse: twin classes of the rows, then the induced graph
     return induced(g, [c[0] for c in twin_classes(g.rows, (1 << g.n) - 1)])

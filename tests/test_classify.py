@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import pcg
-from pcg import classify
+from pcg import classify, cli, grp, named
 from pcg.cg import CommGraph, build_reduced, collapse_twins
 from pcg.classify import (
     NOT_PERFECT,
@@ -262,3 +262,32 @@ def test_analyze_loads_no_openssl_or_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("spec, include_center", [
+    ("psl:3:4", False), ("sz:8", False), ("fib(3a6,sl:2:9)", False), ("sym:5", True),
+])
+def test_analyze_derives_conjugation_maps_once(spec, include_center, monkeypatch, tmp_path):
+    # with an empty build memo, each analysis derives the analysed group's
+    # conjugation maps once (the classes, the centralizer facts and the
+    # adjacency share them) and leaves none held
+    derived = []
+    real = grp.Group.conjugation_maps
+
+    def counted(G):
+        if grp._CONJ[0] is not G:
+            derived.append(G.name)
+        return real(G)
+
+    monkeypatch.setattr(grp.Group, "conjugation_maps", counted)
+    d = str(tmp_path)
+    runs = [lambda: analyze(spec, include_center=include_center),
+            # a cold cache run builds the graphs, a warm one reads them
+            lambda: analyze(spec, cached=cli._load_or_build_cached(d, spec)),
+            lambda: analyze(spec, cached=cli._load_or_build_cached(d, spec))]
+    for run in runs:
+        monkeypatch.setattr(named, "_MEMO", {})
+        derived.clear()
+        run()
+        assert derived.count(spec) == 1
+        assert grp._CONJ == [None, None]

@@ -334,7 +334,7 @@ def test_index_maps_match_scalar_products(spec):
     elems = G.payloads(range(n))
     rows = range(n) if n <= 1000 else random.Random(n).sample(range(n), 150)
     inv = G.inverse_map()
-    conj = G.conjugation_maps()  # derived on each call, so once here
+    conj = G.conjugation_maps()
     hs = [0, 1, n // 2, n - 1]
     L = G.left_maps(hs)
     for i in rows:

@@ -1,5 +1,8 @@
 """Hand-built witness tuples and four-chain search."""
 
+import re
+
+import numpy as np
 import pytest
 
 from pcg.cg import CommGraph, build_graph, build_reduced, collapse_twins
@@ -327,3 +330,49 @@ def test_decode_indices_reports_the_first_bad_encoding(spec, outside, malformed)
     second = _decoded(spec, good + [malformed, outside])
     assert "not an element" not in second[1]
     assert _decoded(spec, [malformed] + good) == second
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _variants(G, enc):
+    # encodings that parse_render reads but render never writes, and
+    # integers that no element has
+    first = re.search("[0-9]+", enc)
+    a, b = first.span()
+    num = enc[a:b]
+    out = [enc[:a] + "0" + enc[a:],           # a leading zero
+           enc[:a] + "0" * 9 + enc[a:],       # longer than any code
+           enc[:a] + " " + enc[a:],           # int() strips spaces
+           enc[:a] + num.translate(_ARABIC_INDIC) + enc[b:],
+           enc[:a] + "18446744073709551617" + enc[b:],
+           enc[:a] + enc[b:],                 # an empty integer
+           re.sub("[0-9]+$", "99999", enc.rstrip(")")) + ")" * enc.endswith(")")]
+    k = G.kind
+    # a last code at its radix and the code before it one less: the key of
+    # an element, so only a range check tells this encoding from it
+    j = int(np.flatnonzero((G.rows[:, -1] == 0) & (G.rows[:, -2] > 0))[0])
+    e = G.element(j).render()
+    *_, x, y = re.finditer("[0-9]+", e)
+    out.append(e[:x.start()] + str(int(x[0]) - 1) + e[x.end():y.start()]
+               + str(int(y[0]) + k.radices()[-1]) + e[y.end():])
+    if k.render(k.identity()).startswith("coset:"):
+        # a member other than the coset's least-key representative
+        z = k.base.to_array([k.z[-1]])[0]
+        row = k.base.mul_arrays(G.rows[1], z)
+        out.append("coset:" + k.base.render(k.base.from_array(row[None])[0]))
+    if enc.startswith("semi:"):
+        out.append("semi:" + str(int(num) + k.period) + enc[b:])  # j + period
+    return out
+
+
+@pytest.mark.parametrize("spec", ["alt:5", "psl:3:4", "aut-sl2-8", "prod(sym:3,sym:3)",
+                                  "cq(prod(sl:2:3,sl:2:3))"])
+def test_decode_indices_batch_agrees_on_odd_encodings(spec):
+    # the batch parse hands each encoding it cannot read as render writes
+    # it to parse_render, so odd spellings decode, or fail, as one by one
+    G = build(spec)
+    good = [G.element(i).render() for i in (1, 2, len(G) - 1)]
+    for v in _variants(G, good[0]):
+        _decoded(spec, good + [v])
+        _decoded(spec, [v] + good)
