@@ -31,10 +31,15 @@ collapse_twins runs it on the whole graph, and perf.prune on the graph
 induced on the vertices its deletion scan leaves.  It groups vertices by a
 hash of their arrays and compares each with its group's first member,
 entry by entry, so its classes are exactly those of twin_classes, the same
-rule on bitset rows.  Induced subgraphs and DIMACS export read the arrays
-too.  Bitset rows (arbitrary-width python ints), which the Berge search
-needs, are packed from the arrays only when a caller reads them, which on
-the analyze path is for the collapsed graph and what its prune leaves.
+rule on bitset rows.
+
+A graph is made from neighbour arrays only: _adjacency's from a group,
+_induced_csr's for induced subgraphs and twin collapses, and _from_edges's
+from an edge list, as read_dimacs reads one.  Every structural query and
+DIMACS export read them.  Bitset rows (arbitrary-width python ints) are a
+view packed once per graph for the bitset routines CommGraph lists, which
+on the analyze path read them for the collapsed graph and what its prune
+leaves.
 """
 
 from __future__ import annotations
@@ -48,77 +53,75 @@ from .grp import Group
 
 FULL_VERTEX_GUARD = 30_000
 REDUCED_VERTEX_GUARD = 100_000
-_SUB_BLOCK = 128  # rows packed or unpacked together by _pack and _unpack
+_SUB_BLOCK = 128  # rows packed together by _pack
 
 
 class CommGraph:
     """Immutable undirected graph with optional group provenance.
 
-    A graph is given by its bitset rows or by its neighbour arrays, and
-    derives the other when a caller first reads it.  rows[u] is a bitset of
-    the neighbors of u (bit u itself always clear); csr is (offsets,
-    indices), the neighbours of u being indices[offsets[u]:offsets[u + 1]],
-    ascending.  vids maps vertex id to an element index in the source group;
+    A graph is its neighbour arrays csr = (offsets, indices): the neighbours
+    of u are indices[offsets[u]:offsets[u + 1]], ascending.  Every
+    structural query reads them, and two graphs are equal when their arrays
+    are.  vids maps vertex id to an element index in the source group;
     group is the Group itself when available.  Graphs built from a group,
     their induced subgraphs and twin collapses, and the cached graphs
     `analyze` loads (cli._load_or_build_cached decodes the file's vertex
-    table against the spec's group) carry both; complements and bare DIMACS
-    reads, including the graph cli.read_cache returns, have neither.
+    table against the spec's group) carry both; bare DIMACS reads,
+    including the graph cli.read_cache returns, have neither.
+
+    rows is a packed view of the arrays: rows[u] is a bitset of the
+    neighbours of u (bit u itself always clear), packed for all vertices
+    once, when first read.  Only the bitset routines read it: perf's hole
+    pass (find_odd_hole, and find_odd_antihole on the complemented rows),
+    grid_certificate, line_graph_labels, _two_colouring, prune's deletion
+    scan, is_perfect_bruteforce, wit.find_4chain, and the twin_classes
+    reference.
     """
 
-    __slots__ = ("n", "_rows", "_csr", "spec", "vids", "group")
+    __slots__ = ("n", "csr", "_rows", "spec", "vids", "group")
 
-    def __init__(self, n, rows=None, spec="", vids=None, group=None, csr=None):
+    def __init__(self, n, csr, spec="", vids=None, group=None):
+        off, idx = np.asarray(csr[0], dtype=np.int64), np.asarray(csr[1], dtype=np.int32)
+        if len(off) != n + 1 or off[-1] != len(idx):
+            raise PcgError("neighbour arrays do not match vertex count")
+        off.flags.writeable = idx.flags.writeable = False
         self.n = n
-        self._rows = None if rows is None else list(rows)
-        self._csr = None
+        self.csr = (off, idx)
+        self._rows = None
         self.spec = spec
         self.vids = list(vids) if vids is not None else None
         self.group = group
-        if (rows is None) == (csr is None):
-            raise PcgError("a graph is given by its rows or by its arrays")
-        if rows is not None and len(self._rows) != n:
-            raise PcgError("row count does not match vertex count")
-        if csr is not None:
-            off, idx = (np.asarray(a) for a in csr)
-            if len(off) != n + 1 or off[-1] != len(idx):
-                raise PcgError("neighbour arrays do not match vertex count")
-            off.flags.writeable = idx.flags.writeable = False
-            self._csr = (off, idx)
 
     @property
     def rows(self) -> list[int]:
         if self._rows is None:
-            self._rows = _pack(*self._csr, self.n)
+            self._rows = _pack(*self.csr, self.n)
         return self._rows
-
-    @property
-    def csr(self):
-        if self._csr is None:
-            self._csr = _unpack(self._rows, self.n)
-        return self._csr
 
     # -- structure ---------------------------------------------------------
 
     def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        nb = self._array(u)
+        i = int(np.searchsorted(nb, v))
+        return bool(i < len(nb) and nb[i] == v)
 
     def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
+        off = self.csr[0]
+        return int(off[u + 1] - off[u])
 
     def neighbors(self, u: int) -> list[int]:
-        return _bits(self.rows[u])
+        return self._array(u).tolist()
+
+    def _array(self, u: int) -> np.ndarray:
+        off, idx = self.csr
+        return idx[off[u]:off[u + 1]]
 
     def edge_count(self) -> int:
-        if self._csr is not None:
-            return len(self._csr[1]) // 2
-        return sum(r.bit_count() for r in self.rows) // 2
+        return len(self.csr[1]) // 2
 
     def edges(self):
-        for u in range(self.n):
-            high = self.rows[u] >> (u + 1)
-            for off in _bits(high):
-                yield u, u + 1 + off
+        src, dst = _upper(*self.csr)
+        return zip(src.tolist(), dst.tolist())
 
     def render_vertex(self, u: int) -> str:
         return next(self.render_vertices([u]))
@@ -136,11 +139,11 @@ class CommGraph:
         return (
             isinstance(other, CommGraph)
             and self.n == other.n
-            and self.rows == other.rows
+            and all(map(np.array_equal, self.csr, other.csr))
         )
 
     def __hash__(self):
-        return hash((self.n, tuple(self.rows)))
+        return hash((self.n, self.csr[1].tobytes()))
 
     def __repr__(self):
         return f"CommGraph({self.spec or '?'}, n={self.n}, m={self.edge_count()})"
@@ -158,6 +161,14 @@ def _bits(x: int) -> list[int]:
 def _sources(off) -> np.ndarray:
     """The vertex of each entry of the arrays with these offsets."""
     return np.repeat(np.arange(len(off) - 1, dtype=np.int32), np.diff(off))
+
+
+def _upper(off, idx):
+    """(src, dst): the entries above their own vertex, src < dst, by src
+    then dst; one per edge."""
+    src = _sources(off)
+    up = idx > src
+    return src[up], idx[up]
 
 
 def _offsets(n, src) -> np.ndarray:
@@ -180,21 +191,6 @@ def _pack(off, idx, n) -> list[int]:
         blob = np.packbits(bits, axis=1, bitorder="little").tobytes()
         out.extend(int.from_bytes(blob[i:i + w], "little") for i in range(0, len(blob), w))
     return out
-
-
-def _unpack(rows, n):
-    """Neighbour arrays from bitset rows, _SUB_BLOCK rows at a time; the
-    bits come out row by row, each row's ascending."""
-    w = (n + 7) // 8
-    src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for s in range(0, n, _SUB_BLOCK):
-        part = rows[s:s + _SUB_BLOCK]
-        raw = np.frombuffer(b"".join(r.to_bytes(w, "little") for r in part),
-                            dtype=np.uint8).reshape(len(part), w)
-        r, c = np.nonzero(np.unpackbits(raw, axis=1, bitorder="little"))
-        src.append(r + s)
-        dst.append(c)
-    return _offsets(n, np.concatenate(src)), np.concatenate(dst).astype(np.int32)
 
 
 def _adjacency(G: Group, vids):
@@ -287,7 +283,7 @@ def build_graph(G: Group, include_center: bool = False) -> CommGraph:
             f"{len(vids)} vertices exceeds the {FULL_VERTEX_GUARD} guard for "
             "full graphs; use build_reduced"
         )
-    return CommGraph(len(vids), csr=_adjacency(G, vids), spec=G.name, vids=vids, group=G)
+    return CommGraph(len(vids), _adjacency(G, vids), spec=G.name, vids=vids, group=G)
 
 
 def build_reduced(G: Group) -> CommGraph:
@@ -298,7 +294,7 @@ def build_reduced(G: Group) -> CommGraph:
         raise GuardError(
             f"{len(vids)} reduced vertices exceeds the {REDUCED_VERTEX_GUARD} guard"
         )
-    return CommGraph(len(vids), csr=_adjacency(G, vids), spec=G.name, vids=vids, group=G)
+    return CommGraph(len(vids), _adjacency(G, vids), spec=G.name, vids=vids, group=G)
 
 
 def twin_classes(rows, alive: int) -> list[list[int]]:
@@ -486,17 +482,10 @@ def collapse_twins(g: CommGraph) -> CommGraph:
     off, idx = g.csr
     keep = _twin_keep(off, idx, g.n)
     return CommGraph(
-        len(keep), csr=_induced_csr(off, idx, keep), spec=g.spec,
+        len(keep), _induced_csr(off, idx, keep), spec=g.spec,
         vids=[g.vids[u] for u in keep.tolist()] if g.vids is not None else None,
         group=g.group,
     )
-
-
-def complement(g: CommGraph) -> CommGraph:
-    """Structural complement; group provenance does not carry over."""
-    full = (1 << g.n) - 1
-    rows = [full ^ g.rows[u] ^ (1 << u) for u in range(g.n)]
-    return CommGraph(g.n, rows)
 
 
 def induced(g: CommGraph, vertices) -> CommGraph:
@@ -505,7 +494,7 @@ def induced(g: CommGraph, vertices) -> CommGraph:
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise PcgError("induced: vertex set is not a subset of the graph")
     return CommGraph(
-        len(keep), csr=_induced_csr(*g.csr, np.array(keep, dtype=np.int64)), spec=g.spec,
+        len(keep), _induced_csr(*g.csr, np.array(keep, dtype=np.int64)), spec=g.spec,
         vids=[g.vids[u] for u in keep] if g.vids is not None else None,
         group=g.group,
     )
@@ -518,11 +507,9 @@ def induced(g: CommGraph, vertices) -> CommGraph:
 def to_dimacs(g: CommGraph) -> str:
     """DIMACS text with one `e` line per edge u < v, by u then v, read off
     each vertex's array (the order of CommGraph.edges())."""
-    off, idx = g.csr
-    src = _sources(off)
-    up = idx > src
-    lines = [f"p edge {g.n} {int(up.sum())}"]
-    lines.extend(map("e {} {}".format, (src[up] + 1).tolist(), (idx[up] + 1).tolist()))
+    src, dst = _upper(*g.csr)
+    lines = [f"p edge {g.n} {len(src)}"]
+    lines.extend(map("e {} {}".format, (src + 1).tolist(), (dst + 1).tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -538,10 +525,10 @@ _DIMACS_MAX_N = (1 << 31) - 1
 
 
 def read_dimacs(text: str) -> CommGraph:
-    """The graph of a DIMACS edge text; PcgError when it is malformed, names
-    a vertex out of range or a self-loop, has more vertices than int32 ids
-    can name, or holds another number of edge lines than its header
-    promises (a repeated edge line counts).
+    """The graph of a DIMACS edge text; PcgError when it is malformed, has
+    a second header line, names a vertex out of range or a self-loop, has
+    more vertices than int32 ids can name, or holds another number of edge
+    lines than its header promises (a repeated edge line counts).
 
     Text in the form to_dimacs writes is parsed in one pass; any other text,
     or one that fails a check, is read line by line, which names the first
@@ -576,6 +563,8 @@ def _read_dimacs_lines(text: str) -> CommGraph:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if ends is not None:
+                raise PcgError(f"second DIMACS header on line {ln}: {line!r}")
             parts = line.split()
             if (len(parts) != 4 or parts[1] != "edge"
                     or not (parts[2].isdecimal() and parts[3].isdecimal())):
@@ -605,7 +594,7 @@ def _read_dimacs_lines(text: str) -> CommGraph:
     return _from_edges(n, np.array(ends, dtype=np.int64))
 
 
-def _from_edges(n, ends) -> CommGraph:
+def _from_edges(n, ends, spec="") -> CommGraph:
     """The graph on n vertices with an edge between ends[2i] and
     ends[2i + 1], for each i; an edge may repeat, in either order."""
     u, v = ends[0::2], ends[1::2]
@@ -614,7 +603,7 @@ def _from_edges(n, ends) -> CommGraph:
     keep = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=keep[1:])
     src, dst = np.divmod(key[keep], n)
-    return CommGraph(n, csr=(_offsets(n, src), dst.astype(np.int32)))
+    return CommGraph(n, (_offsets(n, src), dst.astype(np.int32)), spec=spec)
 
 
 def read_dimacs_file(path) -> CommGraph:

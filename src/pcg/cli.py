@@ -271,8 +271,7 @@ def _load_or_build_cached(cache_dir: str, spec: str):
             vids = None
         if vids is not None and vids == sorted(set(vids)):
             return classify.CachedGraph(
-                graph=cg.CommGraph(graph.n, csr=graph.csr, spec=G.name,
-                                   vids=vids, group=G),
+                graph=cg.CommGraph(graph.n, graph.csr, spec=G.name, vids=vids, group=G),
                 reduced_n=reduced_n,
             )
     g1 = cg.build_reduced(G)

@@ -1131,22 +1131,20 @@ class Group:
 
     # -- masks ------------------------------------------------------------
 
-    def commute_mask(self, i: int, subset=None):
+    def commute_mask(self, i: int):
         """Boolean mask of elements commuting with element i.
 
         c[y] = y^-1 x y is one column of the conjugation action on x: c[0] is
         x, and along each tree edge from y to y g, (y g)^-1 x (y g) is
         g^-1 (y^-1 x y) g, one gather along the conjugation map of g, with no
-        products.  The mask is c == x.  On subset, the mask's entries at
-        those indices."""
+        products.  The mask is c == x."""
         R = self.right_maps()
         conj = self.conjugation_maps()
         c = np.empty(len(self), dtype=np.int32)
         c[0] = i
         for k, parents in self._schreier():
             c[R[k].take(parents)] = conj[k].take(c.take(parents))
-        mask = c == i
-        return mask if subset is None else mask[np.asarray(subset, dtype=np.int64)]
+        return c == i
 
     def center(self) -> tuple[int, ...]:
         """Indices of the central elements: the singleton conjugacy classes."""

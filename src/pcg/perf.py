@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cg import CommGraph, _bits, _first_alike, _induced_csr, _twin_keep, complement, induced
+from .cg import CommGraph, _bits, _first_alike, _induced_csr, _twin_keep, induced
 from .errors import CertificateError, GuardError, PcgError
 
 DEFAULT_BUDGET = 10**8
@@ -156,11 +156,16 @@ def find_odd_hole(g: CommGraph, min_len: int = 5, max_len: int | None = None,
     full cycle-prefix length proves no longer holes exist, ending the search
     early.
     """
+    return _find_holes(g.rows, min_len, max_len, budget, "odd-hole")
+
+
+def _find_holes(rows, min_len, max_len, budget, kind) -> FindResult:
+    """find_odd_hole on the graph of these bitset rows, its witness of the
+    given kind."""
     if min_len < 5 or min_len % 2 == 0:
         raise PcgError(f"min_len must be odd and >= 5, got {min_len}")
-    n = g.n
+    n = len(rows)
     top = n if max_len is None else min(max_len, n)
-    rows = g.rows
     b = _Budget(budget)
     done_to = 0
     L = min_len
@@ -168,7 +173,7 @@ def find_odd_hole(g: CommGraph, min_len: int = 5, max_len: int | None = None,
         while L <= top:
             found, reached = _hole_pass(rows, n, L, b)
             if found:
-                return FindResult(Witness("odd-hole", found, L),
+                return FindResult(Witness(kind, found, L),
                                   True, budget - b.left, L)
             done_to = L
             if not reached:
@@ -182,7 +187,9 @@ def find_odd_hole(g: CommGraph, min_len: int = 5, max_len: int | None = None,
 
 def find_odd_antihole(g: CommGraph, min_len: int = 7, max_len: int | None = None,
                       budget: int = DEFAULT_BUDGET) -> FindResult:
-    """find_odd_hole on the materialized complement, witness re-labelled.
+    """The hole pass of find_odd_hole on the complement of g's bitset rows:
+    an odd hole of the complement is an odd antihole of g, in the same
+    cycle order.
 
     Lengths start at 7: a 5-antihole is a 5-hole and is found by the hole
     search.
@@ -192,11 +199,9 @@ def find_odd_antihole(g: CommGraph, min_len: int = 7, max_len: int | None = None
         raise PcgError(f"min_len must be odd, got {min_len}")
     if g.n < 7:
         return FindResult(None, True, 0, 0)
-    res = find_odd_hole(complement(g), min_len, max_len, budget)
-    w = res.witness
-    if w is not None:
-        w = Witness("odd-antihole", w.vertices, w.length)
-    return FindResult(w, res.complete, res.steps, res.max_len_searched)
+    full = (1 << g.n) - 1
+    rows = [full ^ r ^ (1 << u) for u, r in enumerate(g.rows)]
+    return _find_holes(rows, min_len, max_len, budget, "odd-antihole")
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +249,18 @@ def grid_certificate(g: CommGraph, row_labels, col_labels) -> bool:
     return True
 
 
-def _two_colouring(g: CommGraph) -> list[int] | None:
-    """A proper 2-colouring of g as a list of 0/1, or None if g is not
-    bipartite."""
-    color = [-1] * g.n
-    for s in range(g.n):
+def _two_colouring(rows) -> list[int] | None:
+    """A proper 2-colouring of the graph of these bitset rows as a list of
+    0/1, or None if it is not bipartite."""
+    color = [-1] * len(rows)
+    for s in range(len(rows)):
         if color[s] != -1:
             continue
         color[s] = 0
         stack = [s]
         while stack:
             u = stack.pop()
-            for v in _bits(g.rows[u]):
+            for v in _bits(rows[u]):
                 if color[v] == -1:
                     color[v] = color[u] ^ 1
                     stack.append(v)
@@ -351,7 +356,7 @@ def line_graph_labels(g: CommGraph):
     for a, b in ends:
         root[a] |= 1 << b
         root[b] |= 1 << a
-    color = _two_colouring(CommGraph(len(ids), root))
+    color = _two_colouring(root)
     if color is None:
         return None
     cells = [(a, b) if color[a] == 0 else (b, a) for a, b in ends]
@@ -404,7 +409,7 @@ def is_berge(g: CommGraph, budget: int = DEFAULT_BUDGET,
     if row_labels is not None and col_labels is not None:
         if grid_certificate(g, row_labels, col_labels):
             return Verdict("Berge", certificate="grid")
-    if _two_colouring(g) is not None:
+    if _two_colouring(g.rows) is not None:
         return Verdict("Berge", certificate="bipartite")
     keep = prune(g)
     h = g if len(keep) == g.n else induced(g, keep)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cg import CommGraph
+from .cg import CommGraph, _from_edges
 from .errors import ConstructionError, GuardError, PcgError
 from .gf import ff_make, field_of_size
 from .grp import Element, Group, MatKind, PairKind, PermKind
@@ -60,13 +60,9 @@ class ElementTuple:
     def commute_graph(self) -> CommGraph:
         """The tuple's own pairwise-commutation graph, one vertex per slot."""
         k = len(self.elements)
-        rows = [0] * k
-        for i in range(k):
-            for j in range(i + 1, k):
-                if self.elements[i].commutes_with(self.elements[j]):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return CommGraph(k, rows, spec=self.spec)
+        ends = [(i, j) for i in range(k) for j in range(i + 1, k)
+                if self.elements[i].commutes_with(self.elements[j])]
+        return _from_edges(k, np.array(ends, dtype=np.int64).reshape(-1), spec=self.spec)
 
     def verify(self) -> bool:
         """Distinct elements whose commutation realizes the claimed pattern."""

@@ -12,10 +12,11 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pcg import classify, cli, perf, wit
-from pcg.cg import CommGraph, build_graph, build_reduced, collapse_twins, twin_classes
+from pcg.cg import _from_edges, build_graph, build_reduced, collapse_twins, twin_classes
 from pcg.named import build
 
 
@@ -33,11 +34,7 @@ def _crit(capsys, num, label, ok, detail=""):
 
 
 def _graph(n, edges):
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return CommGraph(n, rows)
+    return _from_edges(n, np.array(edges, dtype=np.int64).reshape(-1))
 
 
 def test_criterion_1_verdict_table(suite, capsys):

@@ -7,10 +7,10 @@ import pytest
 
 from pcg.cg import (
     CommGraph,
+    _from_edges,
     build_graph,
     build_reduced,
     collapse_twins,
-    complement,
     induced,
     read_dimacs,
     read_dimacs_file,
@@ -21,14 +21,11 @@ from pcg.classify import SUITE_ROWS
 from pcg.errors import PcgError
 from pcg.named import build
 from pcg.perf import is_perfect_bruteforce
+from pcg.wit import verify_in_graph, witness_alt_3cycles, witness_sym5
 
 
 def _graph(n, edges):
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return CommGraph(n, rows)
+    return _from_edges(n, np.array(edges, dtype=np.int64).reshape(-1))
 
 
 def _random_graph(rng, n, p=0.5):
@@ -57,11 +54,6 @@ def test_graph_accessors():
     assert g.degree(3) == 0
     assert g.edge_count() == 2
     assert sorted(g.edges()) == [(0, 1), (1, 2)]
-
-
-def test_row_count_validated():
-    with pytest.raises(PcgError):
-        CommGraph(3, [0, 0])
 
 
 def test_build_graph_is_deterministic():
@@ -108,7 +100,7 @@ def test_transported_rows_match_commute_masks(spec, kind, variants):
             g = build_graph(G, include_center=variant == "center")
         assert g.n > 0
         for u, i in enumerate(g.vids):
-            mask = G.commute_mask(i, subset=g.vids)
+            mask = G.commute_mask(i)[g.vids]
             mask[u] = False
             assert g.rows[u] == sum(1 << int(v) for v in np.flatnonzero(mask))
 
@@ -271,18 +263,20 @@ def test_adjacency_matches_per_vertex_reference(spec, variant):
 
 
 def _collapse_reference(g):
-    # the bitset collapse: twin classes of the rows, then the induced graph
-    return induced(g, [c[0] for c in twin_classes(g.rows, (1 << g.n) - 1)])
+    # the bitset collapse: twin classes of the rows, then the rows of the
+    # graph induced on their smallest members
+    keep = [c[0] for c in twin_classes(g.rows, (1 << g.n) - 1)]
+    return keep, _subrows_one_by_one(g, keep)
 
 
 @pytest.mark.parametrize("spec", TABLE_ROWS)
 def test_array_collapse_matches_bitset_collapse(spec):
     g = build_reduced(build(spec))
-    got, want = collapse_twins(g), _collapse_reference(g)
-    assert got.n == want.n
-    assert got.rows == want.rows
-    assert got.vids == want.vids
-    assert to_dimacs(got) == to_dimacs(want)
+    got, (keep, rows) = collapse_twins(g), _collapse_reference(g)
+    assert got.n == len(keep)
+    assert got.rows == rows
+    assert got.vids == [g.vids[u] for u in keep]
+    assert to_dimacs(got) == _dimacs_from_rows(rows)
 
 
 def _planted_twins(rng, base, extra):
@@ -312,49 +306,86 @@ def _planted_twins(rng, base, extra):
 def test_array_collapse_matches_bitset_collapse_on_planted_twins(seed):
     rng = random.Random(seed)
     g = _planted_twins(rng, rng.randrange(1, 60), rng.randrange(0, 140))
-    got, want = collapse_twins(g), _collapse_reference(g)
-    assert got.n == want.n
-    assert got.rows == want.rows
+    got, (keep, rows) = collapse_twins(g), _collapse_reference(g)
+    assert got.n == len(keep)
+    assert got.rows == rows
     # and from a graph read back from its DIMACS text
     back = read_dimacs(to_dimacs(g))
-    assert collapse_twins(back).rows == want.rows
+    assert collapse_twins(back).rows == rows
 
 
-def _dimacs_from_edges(g):
-    lines = [f"p edge {g.n} {g.edge_count()}"]
-    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+def _edges_from_rows(rows):
+    # one pair per bit above the diagonal, by row then bit
+    return [(u, v) for u, r in enumerate(rows) for v in _bits(r) if u < v]
+
+
+def _dimacs_from_rows(rows):
+    edges = _edges_from_rows(rows)
+    lines = [f"p edge {len(rows)} {len(edges)}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in edges]
     return "\n".join(lines) + "\n"
+
+
+def _bits(x):
+    return [i for i in range(x.bit_length()) if x >> i & 1]
 
 
 @pytest.mark.parametrize("spec", ["alt:6", "sl:3:4", "aut-sl2-8", "fib(3a6,sl:2:9)"])
 def test_dimacs_from_arrays_matches_edge_order(spec):
     g = build_reduced(build(spec))
-    for h in (g, collapse_twins(g), CommGraph(g.n, g.rows)):
-        assert to_dimacs(h) == _dimacs_from_edges(h)
+    for h in (g, collapse_twins(g), induced(g, range(0, g.n, 2))):
+        assert to_dimacs(h) == _dimacs_from_rows(h.rows)
+        assert list(h.edges()) == _edges_from_rows(h.rows)
 
 
 @pytest.mark.parametrize("n", [0, 1, 8, 130, 300])
 def test_rows_and_arrays_derive_each_other(n):
-    # rows packed lazily from arrays equal rows set bit by bit, and arrays
-    # unpacked from those rows are the arrays again; 130 and 300 cross a
-    # _SUB_BLOCK boundary
+    # rows packed lazily from arrays equal rows set bit by bit from the edge
+    # list; 130 and 300 cross a _SUB_BLOCK boundary
     rng = random.Random(n)
-    g = _random_graph(rng, n)
-    off, idx = CommGraph(n, g.rows).csr
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    want = [0] * n
+    for u, v in edges:
+        want[u] |= 1 << v
+        want[v] |= 1 << u
+    g = _graph(n, edges)
+    off, idx = g.csr
     assert off[0] == 0 and len(off) == n + 1 and off[-1] == len(idx)
     for u in range(n):
-        nb = idx[off[u]:off[u + 1]].tolist()
-        assert nb == sorted(nb) == g.neighbors(u)
-    lazy = CommGraph(n, csr=(off, idx))
-    assert lazy.rows == [sum(1 << int(v) for v in idx[off[u]:off[u + 1]]) for u in range(n)]
-    assert lazy.edge_count() == g.edge_count()
+        assert idx[off[u]:off[u + 1]].tolist() == _bits(want[u])
+    assert g._rows is None
+    assert g.rows == want
+    assert g.edge_count() == len(edges)
 
 
 def test_graph_needs_rows_or_arrays():
     with pytest.raises(PcgError):
-        CommGraph(2)
-    with pytest.raises(PcgError):
-        CommGraph(2, csr=(np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int32)))
+        CommGraph(2, (np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int32)))
+
+
+@pytest.mark.parametrize("spec, witness", [
+    ("sym:5", witness_sym5), ("alt:7", lambda: witness_alt_3cycles(7)),
+])
+def test_structural_queries_read_arrays_only(spec, witness):
+    # every query but rows reads the neighbour arrays: on a fresh graph
+    # they agree with the rows packed afterwards, and pack none before
+    g, same = build_reduced(build(spec)), build_reduced(build(spec))
+    less = _graph(g.n, list(g.edges())[1:])
+    rng = random.Random(g.n)
+    pairs = [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(500)]
+    assert verify_in_graph(witness(), g)
+    adjacent = [g.adjacent(u, v) for u, v in pairs]
+    degrees = [g.degree(u) for u in range(g.n)]
+    neighbors = [g.neighbors(u) for u in range(g.n)]
+    edges = list(g.edges())
+    assert g == same and hash(g) == hash(same) and g != less
+    assert g._rows is same._rows is less._rows is None
+    rows = g.rows
+    assert adjacent == [bool(rows[u] >> v & 1) for u, v in pairs]
+    assert degrees == [r.bit_count() for r in rows]
+    assert neighbors == [_bits(r) for r in rows]
+    assert edges == _edges_from_rows(rows)
+    assert same.rows == rows != less.rows
 
 
 def test_render_vertices_match_elements():
@@ -364,18 +395,6 @@ def test_render_vertices_match_elements():
     assert list(g.render_vertices()) == want
     assert [g.render_vertex(u) for u in range(g.n)] == want
     assert list(g.render_vertices([2, 0])) == [want[2], want[0]]
-
-
-def test_complement_involution():
-    rng = random.Random(77)
-    g = _random_graph(rng, 8)
-    cc = complement(complement(g))
-    assert cc.rows == g.rows
-    h = complement(g)
-    for u in range(8):
-        for v in range(8):
-            if u != v:
-                assert h.adjacent(u, v) == (not g.adjacent(u, v))
 
 
 def test_induced_subgraph():
@@ -460,7 +479,7 @@ def test_dimacs_counts_header():
 
 
 def _read_dimacs_bigints(text):
-    # the reference reader: one bitset OR per edge line
+    # the reference reader: (n, rows), one bitset OR per edge line
     n = m = None
     rows = None
     seen = 0
@@ -469,6 +488,8 @@ def _read_dimacs_bigints(text):
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if rows is not None:
+                raise PcgError(f"second DIMACS header on line {ln}: {line!r}")
             parts = line.split()
             if (len(parts) != 4 or parts[1] != "edge"
                     or not (parts[2].isdecimal() and parts[3].isdecimal())):
@@ -493,15 +514,19 @@ def _read_dimacs_bigints(text):
         raise PcgError("no DIMACS header found")
     if seen != m:
         raise PcgError(f"DIMACS header promised {m} edges, found {seen}")
-    return CommGraph(n, rows)
+    return n, rows
+
+
+def _read_rows(text):
+    g = read_dimacs(text)
+    return g.n, g.rows
 
 
 def _outcome(read, text):
     try:
-        g = read(text)
+        return read(text)
     except PcgError as e:
         return "error", str(e)
-    return g.n, g.rows
 
 
 # the benchmark's table rows
@@ -534,13 +559,15 @@ def test_dimacs_reader_matches_reference(spec):
     "p edge 3 1\ne 1 2\ne 1 2\n",
     # a second header, comments, blank lines, spacing, line ends
     "p edge 3 1\ne 1 2\np edge 4 1\ne 3 4\n", "c a\np edge 3 1\n\n  e 1 3  \n",
+    # C5, then its header again: nothing may drop the edges above it
+    "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\np edge 5 5\n",
     "p edge 3 1\ne 1 2", "p edge 3 1\r\ne 1 2\r\n", "p  edge 4 2\ne 4 3\ne 1 4\n",
     # an empty graph, leading zeros, a vertex number past int64
     "p edge 0 0\n", "p edge 2 1\ne 01 2\n",
     "p edge 2 1\ne 1 18446744073709551618\n", "p edge 2 1\ne 1 99999999999999999999\n",
 ])
 def test_dimacs_reader_matches_reference_on_edge_cases(text):
-    assert _outcome(read_dimacs, text) == _outcome(_read_dimacs_bigints, text)
+    assert _outcome(_read_rows, text) == _outcome(_read_dimacs_bigints, text)
 
 
 def test_reduced_graph_known_sizes():

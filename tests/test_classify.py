@@ -5,11 +5,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pcg
 from pcg import classify, cli, grp, named
-from pcg.cg import CommGraph, build_reduced, collapse_twins
+from pcg.cg import CommGraph, _from_edges, build_reduced, collapse_twins
 from pcg.classify import (
     NOT_PERFECT,
     PERFECT,
@@ -138,7 +139,7 @@ def test_grid_labels_reject_non_integer_codes():
 
 def test_grid_labels_need_group_provenance():
     g = collapse_twins(build_reduced(build("sl:3:2")))
-    assert grid_labels(CommGraph(g.n, g.rows)) is None
+    assert grid_labels(CommGraph(g.n, g.csr)) is None
 
 
 def test_analyze_keys_report_on_given_spec():
@@ -160,12 +161,9 @@ def test_cached_witness_is_rechecked_from_elements():
     # cached path must not turn that into a NotPerfect verdict
     G = build("alt:6")
     g = collapse_twins(build_reduced(G))
-    u, v = next(g.edges())
-    rows = list(g.rows)
-    rows[u] &= ~(1 << v)
-    rows[v] &= ~(1 << u)
+    less = _from_edges(g.n, np.array(list(g.edges())[1:], dtype=np.int64).reshape(-1))
     cached = classify.CachedGraph(
-        graph=CommGraph(g.n, rows, spec=g.spec, vids=g.vids, group=G),
+        graph=CommGraph(g.n, less.csr, spec=g.spec, vids=g.vids, group=G),
         reduced_n=len(G.reduced_vertices()),
     )
     with pytest.raises(PcgError, match="re-verification"):

@@ -615,6 +615,17 @@ def test_main_bruteforce(tmp_path, capsys):
     assert "bad DIMACS edge on line 2" in capsys.readouterr().err
 
 
+def test_main_bruteforce_rejects_a_second_header(tmp_path, capsys):
+    # a repeated header once dropped the edges above it, so C5 read as the
+    # empty graph on five vertices, which is perfect
+    c5 = tmp_path / "c5.dimacs"
+    c5.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\np edge 5 5\n")
+    assert main(["bruteforce", str(c5)]) == 1
+    captured = capsys.readouterr()
+    assert "perfect" not in captured.out
+    assert "second DIMACS header on line 7" in captured.err
+
+
 def test_main_bruteforce_guard(tmp_path, capsys):
     big = tmp_path / "big.dimacs"
     big.write_text("p edge 15 0\n")

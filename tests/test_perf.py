@@ -8,13 +8,12 @@ import pytest
 
 from pcg import cg
 from pcg.cg import (
-    CommGraph,
+    _from_edges,
     _induced_csr,
     _twin_keep,
     build_graph,
     build_reduced,
     collapse_twins,
-    complement,
     induced,
     twin_classes,
 )
@@ -37,11 +36,12 @@ from pcg.perf import (
 
 
 def _graph(n, edges):
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return CommGraph(n, rows)
+    return _from_edges(n, np.array(edges, dtype=np.int64).reshape(-1))
+
+
+def _complement(g):
+    return _graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                        if not g.adjacent(u, v)])
 
 
 def _cycle(n):
@@ -81,7 +81,7 @@ def test_no_hole_in_even_cycle():
 
 
 def test_find_odd_antihole():
-    g = complement(_cycle(7))
+    g = _complement(_cycle(7))
     res = find_odd_antihole(g)
     assert res.witness is not None
     assert res.witness.kind == "odd-antihole"
@@ -109,7 +109,7 @@ def test_witness_validation():
 
 
 def test_antihole_witness_on_complement():
-    g = complement(_cycle(9))
+    g = _complement(_cycle(9))
     w = Witness("odd-antihole", tuple(range(9)), 9)
     assert verify_witness(g, w)
     assert not verify_witness(_cycle(9), w)
@@ -124,7 +124,7 @@ def test_induces_each_kind():
     assert not induces(path, (0, 1, 2, 2), "four-chain")  # repeat
     assert induces(_cycle(7), range(7), "odd-hole")
     assert not induces(_cycle(7), range(7), "odd-antihole")
-    assert induces(complement(_cycle(7)), range(7), "odd-antihole")
+    assert induces(_complement(_cycle(7)), range(7), "odd-antihole")
     assert not induces(_cycle(5), range(5), "odd-antihole")  # too short
     assert not induces(_cycle(5), (0, 1, 2, 3, 5), "odd-hole")  # no vertex 5
 
@@ -134,7 +134,7 @@ def test_is_berge_verdicts():
     assert v.outcome == "NotBerge"
     assert v.witness.length == 5
     assert not v.is_berge()
-    v7 = is_berge(complement(_cycle(7)))
+    v7 = is_berge(_complement(_cycle(7)))
     assert v7.outcome == "NotBerge"
     assert v7.witness.kind == "odd-antihole"
     even = is_berge(_cycle(6))
@@ -226,7 +226,7 @@ def test_is_perfect_bruteforce_basics():
     assert is_perfect_bruteforce(_cycle(6))
     assert not is_perfect_bruteforce(_cycle(5))
     assert not is_perfect_bruteforce(_cycle(7))
-    assert not is_perfect_bruteforce(complement(_cycle(7)))
+    assert not is_perfect_bruteforce(_complement(_cycle(7)))
     assert is_perfect_bruteforce(_complete(5))
     assert is_perfect_bruteforce(_graph(4, [(0, 1), (1, 2), (2, 3)]))
 
@@ -415,11 +415,8 @@ def test_array_twins_and_certificate_match_bitset_references(weights, monkeypatc
         assert union_of_cliques_certificate(h) and _union_of_cliques_reference(h)
         if n >= 2:
             # one edge more or less breaks a union of cliques, mostly
-            u, v = rng.sample(range(n), 2)
-            rows = list(h.rows)
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-            flip = CommGraph(n, rows)
+            u, v = sorted(rng.sample(range(n), 2))
+            flip = _graph(n, sorted(set(h.edges()) ^ {(u, v)}))
             assert (union_of_cliques_certificate(flip)
                     == _union_of_cliques_reference(flip))
 

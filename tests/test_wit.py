@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from pcg.cg import CommGraph, build_graph, build_reduced, collapse_twins
+from pcg.cg import _from_edges, build_graph, build_reduced, collapse_twins
 from pcg.errors import ConstructionError, GuardError, PcgError
 from pcg.grp import Element, PermKind
 from pcg.named import build
@@ -33,11 +33,7 @@ from pcg.wit import (
 
 
 def _graph(n, edges):
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return CommGraph(n, rows)
+    return _from_edges(n, np.array(edges, dtype=np.int64).reshape(-1))
 
 
 def test_element_tuple_validation():
