@@ -35,21 +35,23 @@ rule on bitset rows.
 
 A graph is made from neighbour arrays only: _adjacency's from a group,
 _induced_csr's for induced subgraphs and twin collapses, and _from_edges's
-from an edge list, as read_dimacs reads one.  Every structural query and
-DIMACS export read them.  Bitset rows (arbitrary-width python ints) are a
-view packed once per graph for the bitset routines CommGraph lists, which
-on the analyze path read them for the collapsed graph and what its prune
-leaves.
+from an edge list, as read_dimacs reads one.  Every structural query reads
+them, and DIMACS export writes the entries above each vertex as text a
+block of lines at a time (grp._format), not a string per edge.  Bitset
+rows (arbitrary-width python ints) are a view packed once per graph for the
+bitset routines CommGraph lists, which on the analyze path read them for
+the collapsed graph and what its prune leaves.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
 
 from .errors import GuardError, PcgError
-from .grp import Group
+from .grp import _BLOCK, Group, _format
 
 FULL_VERTEX_GUARD = 30_000
 REDUCED_VERTEX_GUARD = 100_000
@@ -128,12 +130,18 @@ class CommGraph:
 
     def render_vertices(self, vertices=None):
         """The element encodings of the given vertices (of every vertex, in
-        vertex order, by default), rendered lazily from one batch of
-        payloads."""
+        vertex order, by default), an iterator that renders a block of
+        their rows at a time (Kind.render_rows): the first vertex alone,
+        so that a reader that stops there pays for one, then up to _BLOCK
+        at once."""
         if self.group is None or self.vids is None:
             raise PcgError("graph has no group provenance to render from")
-        vids = self.vids if vertices is None else [self.vids[u] for u in vertices]
-        return map(self.group.kind.render, self.group.payloads(vids))
+        kind, rows = self.group.kind, self.group.rows
+        vids = np.asarray(self.vids if vertices is None else [self.vids[u] for u in vertices],
+                          dtype=np.intp)
+        cuts = [0, *range(1, len(vids), _BLOCK), len(vids)]
+        return itertools.chain.from_iterable(
+            kind.render_rows(rows[vids[s:e]]) for s, e in zip(cuts, cuts[1:]))
 
     def __eq__(self, other):
         return (
@@ -507,10 +515,15 @@ def induced(g: CommGraph, vertices) -> CommGraph:
 def to_dimacs(g: CommGraph) -> str:
     """DIMACS text with one `e` line per edge u < v, by u then v, read off
     each vertex's array (the order of CommGraph.edges())."""
+    return _dimacs(g).decode("ascii")
+
+
+def _dimacs(g: CommGraph) -> bytes:
+    """to_dimacs as ASCII bytes: the `p` line, then the edge lines formatted
+    a block at a time (grp._format)."""
     src, dst = _upper(*g.csr)
-    lines = [f"p edge {g.n} {len(src)}"]
-    lines.extend(map("e {} {}".format, (src + 1).tolist(), (dst + 1).tolist()))
-    return "\n".join(lines) + "\n"
+    head = f"p edge {g.n} {len(src)}\n".encode()
+    return head + _format(["e ", " ", "\n"], [src + 1, dst + 1])
 
 
 # the text to_dimacs writes: the header, then one line per edge; a vertex

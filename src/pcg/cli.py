@@ -12,15 +12,18 @@ The PCG_CACHE_DIR environment variable supplies a default cache directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import cg, classify, perf, wit
 from .errors import CertificateError, PcgError, SpecParseError
-from .grp import drop_conjugation_maps
+from .grp import _format, drop_conjugation_maps
 from .named import build, parse_spec, render_spec
 
 CERT_VERSION = 1
@@ -152,13 +155,14 @@ def _cache_path(cache_dir: str, spec: str, include_center: bool,
     return os.path.join(cache_dir, f"{safe}.{digest}.dimacs")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, *parts: bytes) -> None:
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".pcg-tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -169,15 +173,24 @@ def _atomic_write(path: str, text: str) -> None:
 def write_cache(path: str, graph: cg.CommGraph, spec: str) -> tuple[str, ...]:
     """DIMACS body prefixed with a vertex encoding table, under a header
     naming the format version, the spec and the SHA-256 of the rest of the
-    file; returns the table."""
+    file; returns the table's encodings.
+
+    The body is made as bytes once, for the digest and the write: the table
+    by one _format of the vertex numbers and their rows' render_ints, the
+    graph by cg._dimacs."""
     import hashlib  # here: OpenSSL adds about 4 MB to runs that use no cache
 
     encodings = tuple(graph.render_vertices())
-    body = "".join(f"c v {u} {enc}\n" for u, enc in enumerate(encodings))
-    body += cg.to_dimacs(graph)
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    _atomic_write(path, f"c pcg-cache {CACHE_VERSION}\nc spec {spec}\n"
-                        f"c sha256 {digest}\n{body}")
+    kind = graph.group.kind
+    segs = kind.render_segments()
+    ints = kind.render_ints(graph.group.rows[np.asarray(graph.vids, dtype=np.intp)])
+    table = _format(["c v ", " " + segs[0], *segs[1:-1], segs[-1] + "\n"],
+                    [np.arange(graph.n), *ints.T])
+    dimacs = cg._dimacs(graph)
+    sha = hashlib.sha256(table)
+    sha.update(dimacs)
+    head = f"c pcg-cache {CACHE_VERSION}\nc spec {spec}\nc sha256 {sha.hexdigest()}\n"
+    _atomic_write(path, head.encode(), table, dimacs)
     return encodings
 
 
@@ -322,7 +335,7 @@ def cmd_analyze(args) -> int:
     print(f"seconds {report.seconds:.1f}")
     if report.witness is not None and args.certificate:
         cert = _witness_certificate(report)
-        _atomic_write(args.certificate, render_certificate(cert))
+        _atomic_write(args.certificate, render_certificate(cert).encode())
         print(f"certificate-file {args.certificate}")
     return 2 if report.outcome == "Unknown" else 0
 
@@ -422,12 +435,11 @@ def cmd_export(args) -> int:
         graph = cg.build_graph(G, include_center=args.include_center)
     if args.collapsed:
         graph = cg.collapse_twins(graph)
-    text = cg.to_dimacs(graph)
     if args.output:
-        _atomic_write(args.output, text)
+        _atomic_write(args.output, cg._dimacs(graph))
         print(f"wrote {args.output} ({graph.n} vertices, {graph.edge_count()} edges)")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(cg.to_dimacs(graph))
     return 0
 
 
@@ -450,7 +462,10 @@ def cmd_bruteforce(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and a build costs about a millisecond."""
     ap = argparse.ArgumentParser(
         prog="pcg",
         description="Decide perfection of commuting graphs of finite groups.",

@@ -36,7 +36,13 @@ q^n <= 2^16 and so fits uint16 (MatKind); a kind keeps the tables of its last
 few fixed factors, since a generator is the fixed factor of every closure
 chunk.  Rows turn back into encodings through one uint8 buffer of tag and
 big-endian codes, read as one void item per row; a void dtype keeps the
-trailing zero bytes that an "S" dtype would strip.
+trailing zero bytes that an "S" dtype would strip.  They turn into text by
+block as well as one payload at a time (Kind.render): Kind.render_ints
+gives the integers that render writes, and _format writes a block of them
+between the literal text of the identity's render, one uint8 array for up
+to _BLOCK lines, with digits from a fixed table of four-digit groups.  The
+same formatter writes DIMACS edge lines and cache vertex tables, and
+wit.decode_indices parses such text back in one batch.
 
 Products over all of G are index maps.  The closure records the
 right-multiplication maps R_g (the index of x g, for every x and generator
@@ -104,6 +110,80 @@ def _st(count: int) -> struct.Struct:
     return s
 
 
+# _format's digit table: entry v < 10^4 is v as four ASCII digits with
+# leading zeros, entry 10^4 + v the same with NULs for its leading zeros
+# (v = 0 keeps one "0"), and entry 2 * 10^4 four NULs; each entry's four
+# bytes are read as one uint32
+_QUAD = 10_000
+_QUADS = np.zeros((2 * _QUAD + 1, 4), dtype=np.uint8)
+_QUADS[:_QUAD] = np.arange(_QUAD, dtype=np.uint16)[:, None] // np.array(
+    [1000, 100, 10, 1], dtype=np.uint16) % 10 + 48
+_QUADS[_QUAD:2 * _QUAD] = _QUADS[:_QUAD] * (
+    np.arange(_QUAD, dtype=np.uint16)[:, None] >= np.array([1000, 100, 10, 0], dtype=np.uint16))
+_QUADS = _QUADS.view(np.uint32).ravel()
+
+
+def _digits(v, w):
+    """The non-negative int64 values v in decimal, as an array of v's shape
+    plus one axis of 4 * ceil(w / 4) uint8, w no less than the digits of
+    any: each value right aligned with NULs before it, four digits of
+    _QUADS at a time."""
+    quads = -(-w // 4)
+    out = np.empty(v.shape + (quads,), dtype=np.uint32)
+    for i in range(quads - 1, -1, -1):
+        if i:
+            hi = v // _QUAD
+            idx = v - hi * _QUAD
+            idx += _QUAD * (hi == 0)
+        else:
+            # the most significant four digits: v < 10^4
+            hi, idx = None, v + _QUAD
+        if i < quads - 1:
+            # above a value's last nonzero four digits, all NULs
+            idx += _QUAD * (v == 0)
+        out[..., i] = _QUADS.take(idx)
+        v = hi
+    return out.view(np.uint8).reshape(out.shape[:-1] + (4 * quads,))
+
+
+def _format(segments, columns) -> bytes:
+    """One ASCII line per row: segments[0], columns[0][r], segments[1], ...,
+    columns[-1][r], segments[-1], the columns' non-negative integers written
+    in decimal: text such as read_dimacs and wit.decode_indices parse back
+    in one batch.
+
+    Each block of at most _BLOCK lines is one uint8 array: the segments,
+    and between them a fixed-width field per column, sized by the block's
+    largest value in it, with NULs before each number's digits (_digits).
+    One pass over its bytes drops the NULs.  Memory depends on the block
+    and the number of digits, not on the values."""
+    segs = [s.encode("ascii") for s in segments]
+    cols = list(columns)
+    if len(segs) != len(cols) + 1 or not cols:
+        raise ValueError("_format needs one segment more than its columns")
+    out = []
+    for s in range(0, len(cols[0]), _BLOCK):
+        vals = np.array([c[s:s + _BLOCK] for c in cols], dtype=np.int64)
+        if vals.min() < 0:
+            raise ValueError("_format writes non-negative integers only")
+        widths = [len(str(x)) for x in vals.max(axis=1).tolist()]
+        digits = _digits(vals, max(widths))
+        # one row of the block: the segments, and NULs for the fields
+        line = b"".join(seg + bytes(w) for seg, w in zip(segs, widths + [0]))
+        buf = np.empty((vals.shape[1], len(line)), dtype=np.uint8)
+        buf[:] = np.frombuffer(line, dtype=np.uint8)
+        pos = 0
+        for seg, w, d in zip(segs, widths, digits):
+            pos += len(seg)
+            buf[:, pos:pos + w] = d[:, d.shape[1] - w:]
+            pos += w
+        # bytes.replace drops single bytes by memchr and memcpy: about three
+        # times faster than a numpy compress, which gathers through the
+        # kept bytes' int64 indices
+        out.append(buf.tobytes().replace(b"\0", b""))
+    return b"".join(out)
+
+
 def _walk(kind: Kind, x: bytes) -> list[bytes]:
     """The powers x, x^2, ..., x^o = 1 of x, where o is its order."""
     idp = kind.identity()
@@ -164,6 +244,26 @@ class Kind:
         size, fit this kind.  A row may still be out of range, or no
         element's row; parse_render settles those."""
         raise NotImplementedError
+
+    def render_ints(self, rows):
+        """The integers render writes for each row of a block, in text
+        order, as int64 (the inverse of text_rows)."""
+        raise NotImplementedError
+
+    def render_segments(self) -> tuple[str, ...]:
+        """The literal text around render's integers, the same for every
+        element: the identity's render split at its runs of digits."""
+        segs = getattr(self, "_segs", None)
+        if segs is None:
+            segs = self._segs = tuple(re.split("[0-9]+", self.render(self.identity())))
+        return segs
+
+    def render_rows(self, rows) -> list[str]:
+        """render for each row of a block, by one _format of render_ints
+        between render_segments."""
+        segs = self.render_segments()
+        text = _format([*segs[:-1], segs[-1] + "\n"], self.render_ints(rows).T)
+        return text.decode("ascii").split("\n")[:-1]
 
     # bulk operations ------------------------------------------------------
 
@@ -290,6 +390,9 @@ class PermKind(Kind):
     def text_rows(self, ints):
         return ints - 1, np.ones(len(ints), dtype=bool)
 
+    def render_ints(self, rows):
+        return rows.astype(np.int64) + 1
+
     def mul_arrays(self, A, B):
         # (a*b)(i) = a(b(i)): a's images indexed by b's
         return A[..., B] if B.ndim == 1 else A.take(B)
@@ -373,6 +476,11 @@ class MatKind(Kind):
 
     def text_rows(self, ints):
         return ints[:, 2:], (ints[:, 0] == self.field.q) & (ints[:, 1] == self.n)
+
+    def render_ints(self, rows):
+        out = np.empty((len(rows), 2 + rows.shape[1]), dtype=np.int64)
+        out[:, 0], out[:, 1], out[:, 2:] = self.field.q, self.n, rows
+        return out
 
     def _table(self, M):
         """T[c] = v M for the vector v with code c, M an n x n array;
@@ -487,6 +595,9 @@ class SemiKind(Kind):
         rows, ok = self.base.text_rows(ints[:, 1:])
         return np.hstack([ints[:, :1], rows]), ok
 
+    def render_ints(self, rows):
+        return np.hstack([rows[:, :1].astype(np.int64), self.base.render_ints(rows[:, 1:])])
+
     def mul_arrays(self, A, B):
         j = (A[..., :1] + B[..., :1]) % self.period
         if A.ndim == 1:
@@ -571,10 +682,15 @@ class PairKind(Kind):
         raise PcgError(f"bad pair encoding: {s!r}")
 
     def text_rows(self, ints):
-        cut = len(re.findall("[0-9]+", self.left.render(self.left.identity())))
+        cut = len(self.left.render_segments()) - 1
         a, ok_a = self.left.text_rows(ints[:, :cut])
         b, ok_b = self.right.text_rows(ints[:, cut:])
         return np.hstack([a, b]), ok_a & ok_b
+
+    def render_ints(self, rows):
+        w = self._w
+        return np.hstack([self.left.render_ints(rows[:, :w]),
+                          self.right.render_ints(rows[:, w:])])
 
     def to_array(self, payloads):
         halves = list(map(self.split, payloads))
@@ -656,6 +772,9 @@ class CosetKind(Kind):
 
     def text_rows(self, ints):
         return self.base.text_rows(ints)
+
+    def render_ints(self, rows):
+        return self.base.render_ints(rows)
 
     # bulk (delegated to the base kind) -----------------------------------
 

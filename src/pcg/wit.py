@@ -98,7 +98,7 @@ def decode_indices(G: Group, spec: str, encodings) -> list[int]:
         # an empty integer shortens the parse; strtoll saturates, so an
         # integer too long for int64 is out of every code's range
         ints = np.fromstring(text.translate(_SPACES), dtype=np.int64, sep=" ")
-        width = np.fromstring(one.translate(_SPACES), dtype=np.int64, sep=" ").size
+        width = len(k.render_segments()) - 1
         if ints.size == len(encodings) * width:
             rows, ok = k.text_rows(ints.reshape(len(encodings), width))
             ok &= ((rows >= 0) & (rows < np.array(k.radices()))).all(axis=1)

@@ -1,6 +1,7 @@
 """Commuting graph construction, twin collapse, and DIMACS round-trips."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pcg.cg import (
 )
 from pcg.classify import SUITE_ROWS
 from pcg.errors import PcgError
+from pcg.grp import _format
 from pcg.named import build
 from pcg.perf import is_perfect_bruteforce
 from pcg.wit import verify_in_graph, witness_alt_3cycles, witness_sym5
@@ -432,6 +434,34 @@ def test_dimacs_roundtrip():
     assert back.n == g.n
     assert back.rows == g.rows
     assert to_dimacs(back) == text
+
+
+def _dimacs_per_edge(g):
+    # the writer as it was: one "e {} {}".format string per edge, from
+    # each vertex's neighbours above it
+    lines = [f"p edge {g.n} {g.edge_count()}"]
+    for u in np.flatnonzero(np.diff(g.csr[0])).tolist():
+        lines.extend("e {} {}".format(u + 1, v + 1) for v in g.neighbors(u) if v > u)
+    return "\n".join(lines) + "\n"
+
+
+def test_to_dimacs_matches_per_edge_format():
+    rng = random.Random(25)
+    graphs = [_graph(0, []), _graph(1, []), _graph(6, [])]
+    graphs += [_random_graph(rng, n, p) for n in (2, 11, 40, 120) for p in (0.1, 0.5, 0.9)]
+    # a vertex number past 10^6 in the only edge: the digit tables do not
+    # grow with the numbers they write
+    big = 10**6 + 3
+    graphs.append(_graph(big, [(0, big - 1)]))
+    for g in graphs:
+        assert to_dimacs(g) == _dimacs_per_edge(g)
+    tracemalloc.start()
+    try:
+        _format(["e ", " ", "\n"], [np.array([1]), np.array([10**18])])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
 
 
 def test_dimacs_file_roundtrip(tmp_path):

@@ -137,6 +137,25 @@ def test_grid_labels_reject_non_integer_codes():
     assert classify.grid_labels_from_encodings([good, "mat:2:3:1,x,0,0,1,0,0,0,1"]) is None
 
 
+def test_grid_labels_render_no_more_than_they_read(monkeypatch):
+    # labels stop at the first encoding that is not mat:q:3, so a
+    # permutation group's graph renders one vertex, not all 1,561
+    g = collapse_twins(build_reduced(build("alt:8")))
+    assert g.n == 1561
+    rendered = []
+    render_rows = type(g.group.kind).render_rows
+
+    def counted(kind, rows):
+        rendered.append(len(rows))
+        return render_rows(kind, rows)
+
+    monkeypatch.setattr(type(g.group.kind), "render_rows", counted)
+    assert grid_labels(g) is None
+    assert rendered == [1]
+    assert len(list(g.render_vertices())) == g.n
+    assert rendered == [1, 1, g.n - 1]
+
+
 def test_grid_labels_need_group_provenance():
     g = collapse_twins(build_reduced(build("sl:3:2")))
     assert grid_labels(CommGraph(g.n, g.csr)) is None

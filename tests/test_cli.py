@@ -116,6 +116,29 @@ def _analyze_report(spec):
     return analyze(spec)
 
 
+def test_parser_built_once_behaves_as_a_fresh_one(capsys):
+    # main reuses one parser; a run of one subcommand leaves nothing behind
+    # for the next: defaults, help and argument errors are a fresh parser's
+    fresh = cli._build_parser.__wrapped__
+    assert main(["export", "sym:3", "--reduced"]) == 0
+    assert main(["analyze", "alt:5"]) == 0
+    capsys.readouterr()
+    assert cli._build_parser() is cli._build_parser()
+    for argv in (["analyze", "sym:4"], ["export", "sym:4"], ["suite"],
+                 ["witness", "alt", "5"]):
+        assert vars(cli._build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
+    for argv in (["analyze", "--help"], ["export", "--help"], ["--help"],
+                 ["analyze"], ["export", "sym:4", "--bogus"], ["nosuch"],
+                 ["analyze", "sym:4", "--budget", "x"]):
+        outs = []
+        for parse in (main, fresh().parse_args):
+            with pytest.raises(SystemExit) as e:
+                parse(argv)
+            outs.append((e.value.code, capsys.readouterr()))
+        assert outs[0] == outs[1], argv
+        assert outs[0][0] == (0 if "--help" in argv else 2)
+
+
 def test_main_analyze_perfect(capsys):
     rc = main(["analyze", "alt:5"])
     out = capsys.readouterr().out

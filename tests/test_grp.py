@@ -20,8 +20,10 @@ from pcg.grp import (
     DEFAULT_CAP,
     _CHUNK,
     _DENSE,
+    _BLOCK,
     _TABLE_MEMO,
     _Table,
+    _format,
     _mulclose,
     central_quotient,
     direct_product,
@@ -868,3 +870,75 @@ def test_quotient_by_trivial_centre_shares_its_cover(spec):
     assert all(a is b for a, b in zip(Q._class_arrays(), G._class_arrays()))
     assert Q.payloads(range(len(Q))) == [b"C" + p for p in G.payloads(range(len(G)))]
     assert not G.rows.flags.writeable and not G._t.sorted.flags.writeable
+
+
+# every kind the suite builds: permutations, matrices, semilinear pairs,
+# direct and fiber products, cosets over a field and over its square
+_RENDER_SPECS = ["sym:5", "sl:3:2", "aut-sl2-8", "prod(sym:3,sym:3,sym:3)",
+                 "fib(3a6,sl:2:9)", "psl:3:4", "psu:3:3"]
+# both sides of each decimal width, and the largest uint16 code
+_BOUNDARY_CODES = [0, 8, 9, 10, 98, 99, 100, 9998, 9999, 10000, 65535]
+
+
+def _format_reference(segments, columns):
+    # one Python string per line
+    lines = []
+    for r in range(len(columns[0])):
+        parts = [segments[0]]
+        for seg, col in zip(segments[1:], columns):
+            parts += [str(int(col[r])), seg]
+        lines.append("".join(parts))
+    return "".join(lines).encode("ascii")
+
+
+def test_format_matches_one_line_at_a_time():
+    rng = np.random.default_rng(25)
+    edges = [0, 9, 10, 99, 100, 9999, 10_000, 99_999_999, 100_000_000,
+             10**12, 10**16, 2**63 - 1]
+    for segments in (["e ", " ", "\n"], ["", "", ""], ["x(", ")\n"],
+                     ["c v ", " perm:", ",", "", "|", "\n"]):
+        k = len(segments) - 1
+        for m in (0, 1, 7, 300):
+            top = 10 ** rng.integers(1, 19, size=k)
+            cols = [rng.integers(0, t, size=m, dtype=np.int64) for t in top.tolist()]
+            for c in cols:
+                c[:min(m, len(edges))] = edges[:min(m, len(edges))]
+            for dtype in (np.int64, np.uint64):
+                cols = [c.astype(dtype) for c in cols]
+                assert _format(segments, cols) == _format_reference(segments, cols)
+
+
+def test_format_blocks_and_bounds():
+    # lines past one block, and values whose widths differ between blocks
+    m = _BLOCK + 5
+    a = np.arange(m, dtype=np.int64)
+    b = np.where(a < _BLOCK, 7, 10**9)
+    assert _format(["e ", " ", "\n"], [a, b]) == _format_reference(["e ", " ", "\n"], [a, b])
+    with pytest.raises(ValueError):
+        _format(["", "\n"], [np.array([3, -1])])
+    with pytest.raises(ValueError):
+        _format(["", "\n"], [np.array([1]), np.array([2])])
+
+
+@pytest.mark.parametrize("spec", _RENDER_SPECS)
+def test_render_rows_match_render(spec):
+    G = build(spec)
+    k = G.kind
+    want = [k.render(p) for p in G.payloads(range(len(G)))]
+    assert k.render_rows(G.rows) == want
+    assert k.render_rows(G.rows[:0]) == []
+    # render_ints is the inverse of text_rows
+    back, ok = k.text_rows(k.render_ints(G.rows))
+    assert ok.all() and np.array_equal(back, G.rows)
+
+
+@pytest.mark.parametrize("spec", _RENDER_SPECS)
+def test_render_rows_at_digit_boundaries(spec):
+    # rows of arbitrary codes: render reads any payload's codes, and its
+    # integers here cross every decimal width up to 65536
+    k = build(spec).kind
+    w = build(spec).rows.shape[1]
+    codes = np.array(_BOUNDARY_CODES, dtype=np.uint16)
+    rows = codes[(np.arange(len(codes))[:, None] + np.arange(w)) % len(codes)]
+    want = [k.render(k.encode(r)) for r in rows.tolist()]
+    assert k.render_rows(rows) == want
