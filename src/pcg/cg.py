@@ -51,7 +51,7 @@ import re
 import numpy as np
 
 from .errors import GuardError, PcgError
-from .grp import _BLOCK, Group, _format
+from .grp import _BLOCK, Group, _format, drop_conjugation_maps
 
 FULL_VERTEX_GUARD = 30_000
 REDUCED_VERTEX_GUARD = 100_000
@@ -218,6 +218,10 @@ def _adjacency(G: Group, vids):
     call and written into the index array at its vertices' offsets, about
     m entries at a time, so that the int64 positions stay as small as the
     offsets.
+
+    The conjugation maps are read once, for the vertex permutations, and
+    their slot (Group.conjugation_maps) is emptied then, as no later stage
+    reads them; the callers have derived the classes from them before.
     """
     m = len(vids)
     sel = np.asarray(vids, dtype=np.int64)
@@ -225,6 +229,7 @@ def _adjacency(G: Group, vids):
     where[sel] = np.arange(m)
     # perms[k][u]: position of vertex u conjugated by generator k
     perms = [where.take(cm.take(sel)) for cm in G.conjugation_maps()]
+    drop_conjugation_maps()
     if any((p < 0).any() for p in perms):
         raise PcgError("adjacency needs a vertex set closed under conjugation")
     arr = G.rows[sel]
@@ -620,5 +625,12 @@ def _from_edges(n, ends, spec="") -> CommGraph:
 
 
 def read_dimacs_file(path) -> CommGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_dimacs(fh.read())
+    """read_dimacs on a file's text; PcgError naming the file and the byte
+    offset when it is not ASCII."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise PcgError(f"{path}: byte {e.start} is not ASCII") from None
+    return read_dimacs(text)

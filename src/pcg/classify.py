@@ -80,15 +80,6 @@ class Report:
         return UNKNOWN
 
 
-@dataclass(frozen=True)
-class CachedGraph:
-    """A reduced+collapsed graph restored from disk instead of recomputed,
-    with its group and vertex ids attached as on a fresh one."""
-
-    graph: cg.CommGraph
-    reduced_n: int
-
-
 def _line(f, v):
     """v scaled so its first nonzero coordinate is 1."""
     s = f.inv(next(x for x in v if x))
@@ -167,39 +158,36 @@ def grid_labels_from_encodings(encodings):
 
 def analyze(spec: str, include_center: bool = False,
             budget: int = perf.DEFAULT_BUDGET, max_len: int | None = None,
-            cached: CachedGraph | None = None) -> Report:
+            cached: tuple[int, cg.CommGraph] | None = None) -> Report:
     """Build the group, reduce and collapse its graph, and decide Berge.
 
+    One sequence: build, centre, graphs, quasisimplicity, verdict.  The
+    graphs are a pair (reduced vertex count, collapsed graph): computed here,
+    or given as cached, the pair cli._load_or_build_cached returns.
     include_center analyzes the graph on all of G instead of the reduced
-    one (small groups only); cached short-circuits the graph pipeline with
-    a previously exported reduced+collapsed graph.  Guard and construction
-    errors propagate to the caller, and so does a PcgError for a witness
-    that fails its graph-level or element-level re-verification.
+    one (small groups only).  Guard and construction errors propagate to
+    the caller, and so does a PcgError for a witness that fails its
+    graph-level or element-level re-verification.
     """
     t0 = time.perf_counter()
     key = render_spec(parse_spec(spec))
     G = build(key)
     order = len(G)
     center = len(G.center())
-    # the classes, the centralizer facts and the adjacency share one set of
-    # conjugation maps, which the rest of the pipeline does not read
-    if cached is not None:
-        drop_conjugation_maps()
-    quasisimple = G.is_quasisimple()
-    if cached is not None:
-        graph = cached.graph
-        reduced_n = cached.reduced_n
-        # reduced graph emptiness is the definition of an AC-group
+    # an AC-group is one whose reduced graph is empty; the graph on all of G
+    # does not show it, so G is asked, before the adjacency releases the
+    # conjugation maps that its centralizer masks read
+    ac_group = G.is_ac_group() if include_center else None
+    if cached is None:
+        graph = (cg.build_graph(G, include_center=True) if include_center
+                 else cg.build_reduced(G))
+        cached = graph.n, cg.collapse_twins(graph)
+    reduced_n, graph = cached
+    # on a cached run the classes derived maps that no adjacency read
+    drop_conjugation_maps()
+    if ac_group is None:
         ac_group = reduced_n == 0
-    else:
-        if include_center:
-            graph = cg.build_graph(G, include_center=True)
-        else:
-            graph = cg.build_reduced(G)
-        reduced_n = graph.n
-        ac_group = G.is_ac_group()
-        drop_conjugation_maps()
-        graph = cg.collapse_twins(graph)
+    quasisimple = G.is_quasisimple()
     rows, cols = grid_labels(graph) or (None, None)
     verdict = perf.is_berge(graph, budget=budget, max_len=max_len,
                             row_labels=rows, col_labels=cols)

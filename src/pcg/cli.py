@@ -23,7 +23,7 @@ import numpy as np
 
 from . import cg, classify, perf, wit
 from .errors import CertificateError, PcgError, SpecParseError
-from .grp import _format, drop_conjugation_maps
+from .grp import _format
 from .named import build, parse_spec, render_spec
 
 CERT_VERSION = 1
@@ -170,17 +170,17 @@ def _atomic_write(path: str, *parts: bytes) -> None:
         raise
 
 
-def write_cache(path: str, graph: cg.CommGraph, spec: str) -> tuple[str, ...]:
+def write_cache(path: str, graph: cg.CommGraph, spec: str):
     """DIMACS body prefixed with a vertex encoding table, under a header
     naming the format version, the spec and the SHA-256 of the rest of the
-    file; returns the table's encodings.
+    file; returns the table's encodings as graph.render_vertices() gives
+    them, rendered only as they are read.
 
     The body is made as bytes once, for the digest and the write: the table
     by one _format of the vertex numbers and their rows' render_ints, the
     graph by cg._dimacs."""
     import hashlib  # here: OpenSSL adds about 4 MB to runs that use no cache
 
-    encodings = tuple(graph.render_vertices())
     kind = graph.group.kind
     segs = kind.render_segments()
     ints = kind.render_ints(graph.group.rows[np.asarray(graph.vids, dtype=np.intp)])
@@ -191,7 +191,7 @@ def write_cache(path: str, graph: cg.CommGraph, spec: str) -> tuple[str, ...]:
     sha.update(dimacs)
     head = f"c pcg-cache {CACHE_VERSION}\nc spec {spec}\nc sha256 {sha.hexdigest()}\n"
     _atomic_write(path, head.encode(), table, dimacs)
-    return encodings
+    return graph.render_vertices()
 
 
 def _cache_names(spec: str) -> set[str]:
@@ -261,7 +261,9 @@ def _cached_vertex_count(path: str) -> int | None:
 
 
 def _load_or_build_cached(cache_dir: str, spec: str):
-    """The analyze pipeline's graphs, through the cache when possible.
+    """The analyze pipeline's graphs, through the cache when possible: the
+    pair (reduced vertex count, collapsed graph) that classify.analyze takes
+    as cached and otherwise computes.
 
     The collapsed file's vertex table is decoded against the freshly built
     group, so a cached graph has the group and vertex ids a fresh one has.
@@ -283,17 +285,13 @@ def _load_or_build_cached(cache_dir: str, spec: str):
         except PcgError:
             vids = None
         if vids is not None and vids == sorted(set(vids)):
-            return classify.CachedGraph(
-                graph=cg.CommGraph(graph.n, graph.csr, spec=G.name, vids=vids, group=G),
-                reduced_n=reduced_n,
-            )
+            return reduced_n, cg.CommGraph(graph.n, graph.csr, spec=G.name,
+                                           vids=vids, group=G)
     g1 = cg.build_reduced(G)
-    # the adjacency was the conjugation maps' last reader, as in analyze
-    drop_conjugation_maps()
     g2 = cg.collapse_twins(g1)
     write_cache(red_path, g1, spec)
     write_cache(col_path, g2, spec)
-    return classify.CachedGraph(graph=g2, reduced_n=g1.n)
+    return g1.n, g2
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,9 @@ conjugation maps, kept as one int32 class label per element beside the
 elements sorted by class; the centre is the union of the singleton classes.
 The conjugation maps are derived on first use into one slot, which holds the
 maps of one group at a time: the classes, the centralizer masks and the
-adjacency of one analysis share them, and the analysis empties the slot
-(drop_conjugation_maps) before its twin collapse.  Each class
+adjacency of one analysis share them, and the adjacency (cg._adjacency),
+their last reader, empties the slot (drop_conjugation_maps) as soon as it
+has its vertex permutations.  Each class
 representative's powers x, x^2, ..., x^o = 1 are walked once: the walk's
 length is the class order and its p-th entry is x^p.  reduced_vertices
 infers centralizer abelianness along power maps and central translates,
@@ -1318,8 +1319,9 @@ class Group:
 
         One slot holds the maps of one group: they are derived on first
         use, read again by the classes, the centralizer masks and the
-        adjacency of an analysis, and held until drop_conjugation_maps or
-        until another group's maps replace them."""
+        adjacency of an analysis, and held until the adjacency, their last
+        reader, empties the slot (drop_conjugation_maps), or until another
+        group's maps replace them."""
         if _CONJ[0] is not self:
             drop_conjugation_maps()
             # conjugation by g is x -> g^-1 x g = R_g[L_{g^-1}[x]]

@@ -181,10 +181,8 @@ def test_cached_witness_is_rechecked_from_elements():
     G = build("alt:6")
     g = collapse_twins(build_reduced(G))
     less = _from_edges(g.n, np.array(list(g.edges())[1:], dtype=np.int64).reshape(-1))
-    cached = classify.CachedGraph(
-        graph=CommGraph(g.n, less.csr, spec=g.spec, vids=g.vids, group=G),
-        reduced_n=len(G.reduced_vertices()),
-    )
+    cached = (len(G.reduced_vertices()),
+              CommGraph(g.n, less.csr, spec=g.spec, vids=g.vids, group=G))
     with pytest.raises(PcgError, match="re-verification"):
         analyze("alt:6", cached=cached)
 

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from pcg import cli
+from pcg import cli, grp
 from pcg.cg import (
     build_reduced,
     collapse_twins,
@@ -202,7 +202,7 @@ def test_main_analyze_cache_roundtrip(tmp_path, capsys):
     assert "certificate grid" in out1
     # a cached graph is the same record a fresh one is
     fresh = collapse_twins(build_reduced(build("sl:3:2")))
-    warm = cli._load_or_build_cached(d, "sl:3:2").graph
+    _, warm = cli._load_or_build_cached(d, "sl:3:2")
     assert (warm.rows, warm.vids, warm.spec) == (fresh.rows, fresh.vids, fresh.spec)
     assert warm.group is fresh.group
 
@@ -423,7 +423,7 @@ def test_read_cache_checks_header(tmp_path):
         text = fh.read()
     assert text.splitlines()[2].startswith("c sha256 ")
     got, got_encodings = cli.read_cache(path)
-    assert got == graph and got_encodings == encodings
+    assert got == graph and got_encodings == tuple(encodings)
 
     def read_as(name, body):
         other = os.path.join(d, name)
@@ -601,6 +601,22 @@ def test_main_export_file_deterministic(tmp_path, capsys):
     assert read_dimacs_file(p1).n == 21
 
 
+@pytest.mark.parametrize("spec", ["sl:3:2", "alt:6"])
+def test_main_export_collapsed_is_the_cached_graph(spec, tmp_path, capsys):
+    # export runs the cache's pipeline: the adjacency releases the
+    # conjugation maps, and the file is the collapsed cache file's graph
+    out = tmp_path / "g.dimacs"
+    assert main(["export", spec, "--reduced", "--collapsed", "-o", str(out)]) == 0
+    assert grp._CONJ == [None, None]
+    d = str(tmp_path / "cache")
+    assert main(["analyze", spec, "--cache-dir", d]) == 0
+    capsys.readouterr()
+    with open(cli._cache_path(d, spec, False, True, True), "rb") as fh:
+        text = fh.read()
+    body = re.fullmatch(rb"(?:c [^\n]*\n){3}(?:c v [^\n]*\n)*(.*)", text, re.DOTALL)[1]
+    assert out.read_bytes() == body
+
+
 def test_main_export_include_center(capsys):
     rc = main(["export", "sym:3", "--include-center"])
     out = capsys.readouterr().out
@@ -659,6 +675,16 @@ def test_main_bruteforce_guard(tmp_path, capsys):
 def test_main_bruteforce_missing_file(tmp_path, capsys):
     assert main(["bruteforce", str(tmp_path / "nope.dimacs")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_bruteforce_non_ascii_file(tmp_path, capsys):
+    # a byte that is not ASCII is an error naming the file and its offset,
+    # not a decoding traceback
+    bad = tmp_path / "bad.dimacs"
+    bad.write_bytes(b"p edge 2 1\ne 1 2 \xff\n")
+    assert main(["bruteforce", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "byte 17" in err
 
 
 def test_witness_graph_verification_matches_export(tmp_path, capsys):
