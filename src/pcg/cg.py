@@ -9,7 +9,7 @@ perf.prune's three graph rules, read off group facts instead of rows:
 * dropping elements with abelian centralizer drops simplicial vertices (for
   x non-central, C(x) is abelian exactly when x's neighbourhood in the graph
   on G minus its centre is a clique); and
-* collapsing twins keeps one vertex per twin class (twin_classes).
+* collapsing twins keeps one vertex per twin class (_twin_keep).
 
 A hole or antihole of length >= 5 has no universal or simplicial vertex and
 no two twins, so one soundness argument covers the group-level reductions
@@ -30,8 +30,8 @@ One twin routine, _twin_keep, serves both twin passes of the pipeline:
 collapse_twins runs it on the whole graph, and perf.prune on the graph
 induced on the vertices its deletion scan leaves.  It groups vertices by a
 hash of their arrays and compares each with its group's first member,
-entry by entry, so its classes are exactly those of twin_classes, the same
-rule on bitset rows.
+entry by entry, so its classes are exactly the twin classes: open
+neighbourhoods first, then closed neighbourhoods among the open minima.
 
 A graph is made from neighbour arrays only: _adjacency's from a group,
 _induced_csr's for induced subgraphs and twin collapses, and _from_edges's
@@ -76,8 +76,7 @@ class CommGraph:
     once, when first read.  Only the bitset routines read it: perf's hole
     pass (find_odd_hole, and find_odd_antihole on the complemented rows),
     grid_certificate, line_graph_labels, _two_colouring, prune's deletion
-    scan, is_perfect_bruteforce, wit.find_4chain, and the twin_classes
-    reference.
+    scan, is_perfect_bruteforce and wit.find_4chain.
     """
 
     __slots__ = ("n", "csr", "_rows", "spec", "vids", "group")
@@ -310,36 +309,6 @@ def build_reduced(G: Group) -> CommGraph:
     return CommGraph(len(vids), _adjacency(G, vids), spec=G.name, vids=vids, group=G)
 
 
-def twin_classes(rows, alive: int) -> list[list[int]]:
-    """Twin classes of the graph induced on the vertices of the bitset alive.
-
-    An open pass groups vertices by open neighbourhood within alive; a
-    closed pass then groups the open classes' smallest members by closed
-    neighbourhood among those members, and each closed group becomes one
-    class, the union of its open classes.  Each class is sorted and the
-    classes are ordered by their smallest member.
-
-    Collapse soundness: a hole or antihole of length >= 5 never contains
-    two vertices with equal open neighbourhoods nor two with equal closed
-    neighbourhoods, so keeping one representative per class preserves the
-    Berge verdict.
-
-    The pipeline finds these classes' smallest members on neighbour arrays
-    (_twin_keep); this bitset form is their reference.
-    """
-    # dicts keep insertion order, here ascending by smallest member
-    by_open: dict[int, list[int]] = {}
-    for u in _bits(alive):
-        by_open.setdefault(rows[u] & alive, []).append(u)
-    reps = 0
-    for c in by_open.values():
-        reps |= 1 << c[0]
-    by_closed: dict[int, list[int]] = {}
-    for c in by_open.values():
-        by_closed.setdefault(rows[c[0]] & reps | 1 << c[0], []).extend(c)
-    return [sorted(c) for c in by_closed.values()]
-
-
 _ENTRIES = 1 << 14  # array entries hashed or compared together
 
 
@@ -464,12 +433,19 @@ def _first_alike(off, idx, verts, among=None, closed=False) -> np.ndarray:
 
 
 def _twin_keep(off, idx, n) -> np.ndarray:
-    """The smallest vertex of each class of twin_classes on the whole graph,
-    ascending, from its neighbour arrays.
+    """The smallest vertex of each twin class of the whole graph, ascending,
+    from its neighbour arrays.
 
     The open pass groups the vertices by their arrays; the closed pass
     groups the open minima by their arrays restricted to the open minima,
-    plus themselves.  A group's first vertex is its class's smallest.
+    plus themselves.  A twin class is a closed group, the union of its
+    members' open groups, and a group's first vertex is its class's
+    smallest.
+
+    Collapse soundness: a hole or antihole of length >= 5 never contains
+    two vertices with equal open neighbourhoods nor two with equal closed
+    neighbourhoods, so keeping one representative per class preserves the
+    Berge verdict.
     """
     verts = np.arange(n)
     reps = np.flatnonzero(_first_alike(off, idx, verts) == verts)
@@ -491,7 +467,7 @@ def _induced_csr(off, idx, keep):
 
 def collapse_twins(g: CommGraph) -> CommGraph:
     """The subgraph induced on the smallest vertex of each twin class
-    (twin_classes), found and built from the neighbour arrays."""
+    (_twin_keep), found and built from the neighbour arrays."""
     off, idx = g.csr
     keep = _twin_keep(off, idx, g.n)
     return CommGraph(

@@ -25,18 +25,22 @@ Groups are built by breadth-first closure in a fixed deterministic order
 (generators sorted by encoding, FIFO queue, fixed chunk size), so regenerating
 a group from the same data yields an identical element table.  A chunk of rows
 times a generator is one numpy product; its keys are looked up in the table,
-and the rows not found are appended.  Over a small key space (_DENSE) the
-growing table is an int32 index addressed by key (a lookup is a gather, an
-append a scatter), over a larger one the new keys are merged into the sorted
-keys; either way the finished table holds the sorted keys.  A
-product always has one fixed factor, so matrices over every field multiply by
-one table lookup: the table holds every length-n vector times the fixed
-matrix, and a vector is looked up by its base-q code, which is below
-q^n <= 2^16 and so fits uint16 (MatKind); a kind keeps the tables of its last
-few fixed factors, since a generator is the fixed factor of every closure
-chunk.  Rows turn back into encodings through one uint8 buffer of tag and
-big-endian codes, read as one void item per row; a void dtype keeps the
-trailing zero bytes that an "S" dtype would strip.  They turn into text by
+and the rows not found are appended (Kind.closure_products).  A matrix kind
+keys a product without making it: a product's row vectors are the chunk's
+row vectors through the generator's vector table, so their codes are one
+gather of the chunk's codes, its key is those codes read in radix q^n, and
+only the products the table lacks are expanded into rows.  Over a small key
+space (_DENSE) the growing table is an int32 index addressed by key (a
+lookup is a gather, an append a scatter), over a larger one the new keys are
+merged into the sorted keys; either way the finished table holds the sorted
+keys.  A product always has one fixed factor, so matrices over every field
+multiply by one table lookup: the table holds every length-n vector times
+the fixed matrix, and a vector is looked up by its base-q code, which is
+below q^n <= 2^16 and so fits uint16 (MatKind); a kind keeps the tables of
+its last few fixed factors, since a generator is the fixed factor of every
+closure chunk.  Rows turn back into encodings through one uint8 buffer of
+tag and big-endian codes, read as one void item per row; a void dtype keeps
+the trailing zero bytes that an "S" dtype would strip.  They turn into text by
 block as well as one payload at a time (Kind.render): Kind.render_ints
 gives the integers that render writes, and _format writes a block of them
 between the literal text of the identity's render, one uint8 array for up
@@ -47,11 +51,15 @@ wit.decode_indices parses such text back in one batch.
 Products over all of G are index maps.  The closure records the
 right-multiplication maps R_g (the index of x g, for every x and generator
 g) as the one pass of products; a central quotient projects its parent's.  A
-breadth-first (Schreier) tree over them gives left maps L_h, since h (x g) =
+spanning (Schreier) tree over them gives left maps L_h, since h (x g) =
 (h x) g along each tree edge, and the inverse map inv, since
-(x g)^-1 = g^-1 x^-1.  So the conjugation maps R_g[L_{g^-1}] are gathers,
-and so is the conjugation action on one element x: c[y] = y^-1 x y, filled
-along the tree, whose fixed points y are the centralizer of x.
+(x g)^-1 = g^-1 x^-1.  The closure's discovery steps are such a tree (each
+new element is a product x g of an element found before it), so a group
+that generate builds keeps them; a quotient or a product takes a
+breadth-first search over its maps.  So the conjugation maps R_g[L_{g^-1}]
+are gathers, and so is the conjugation action on one element x:
+c[y] = y^-1 x y, filled along the tree, whose fixed points y are the
+centralizer of x.
 
 Group facts are read off the conjugacy classes, the orbits of the
 conjugation maps, kept as one int32 class label per element beside the
@@ -60,11 +68,14 @@ The conjugation maps are derived on first use into one slot, which holds the
 maps of one group at a time: the classes, the centralizer masks and the
 adjacency of one analysis share them, and the adjacency (cg._adjacency),
 their last reader, empties the slot (drop_conjugation_maps) as soon as it
-has its vertex permutations.  Each class
-representative's powers x, x^2, ..., x^o = 1 are walked once: the walk's
-length is the class order and its p-th entry is x^p.  reduced_vertices
-infers centralizer abelianness along power maps and central translates,
-building a centralizer mask only for the classes it leaves undecided.  A
+has its vertex permutations.  The class representatives' powers x, x^2,
+..., x^o = 1 are walked all at once, as element indices: each step
+multiplies the classes not yet at the identity row by row (Kind.mul_rows)
+and finds the products by one lookup.  A walk's length is the class order
+and its p-th entry is x^p; only Element.order walks one payload by scalar
+products.  reduced_vertices infers centralizer abelianness along power maps
+and central translates, building a centralizer mask only for the classes it
+leaves undecided.  A
 normal closure is a union of classes, so it is found by a breadth-first
 search over classes rather than elements: the classes of C_a C_g are those
 of a C_g for one element a of C_a, read off block products.  is_quasisimple
@@ -94,6 +105,7 @@ _CHUNK = 4096  # closure chunk size; part of the deterministic ordering
 _CODE_RANGE = 1 << 16  # vector codes of a matrix kind are uint16
 _TABLE_MEMO = 8  # vector tables a matrix kind keeps, oldest dropped first
 _BLOCK = 1 << 16  # rows per block product over a whole group
+_RUNAWAY = 10_000_000  # powers walked before an element order is refused
 # a growing table indexes its keys densely, an int32 a key, when the kind has
 # at most _DENSE keys and at most _DENSE_PER_ROW for each row it may grow to:
 # a small closure over many keys (3a6: 1,080 elements, 2^18 keys) would touch
@@ -190,7 +202,7 @@ def _walk(kind: Kind, x: bytes) -> list[bytes]:
     idp = kind.identity()
     powers = [x]
     while powers[-1] != idp:
-        if len(powers) >= 10_000_000:
+        if len(powers) >= _RUNAWAY:
             raise PcgError("element order runaway")
         powers.append(kind.mul(powers[-1], x))
     return powers
@@ -214,8 +226,9 @@ class Kind:
     Bulk work uses rows: to_array turns payloads into a 2-D uint16 array, one
     row per element, holding the big-endian 16-bit codes that follow the tag
     byte; from_array is its inverse and puts back the kind's tag; mul_arrays
-    multiplies a row or a block of rows by one row, or one row by a block, and
-    canonical_rows maps product rows to the rows of their canonical encodings.
+    multiplies a row or a block of rows by one row, or one row by a block,
+    mul_rows two blocks row by row, and canonical_rows maps product rows to
+    the rows of their canonical encodings.
     Column j of a row holds a code below radices()[j], and keys reads a row as
     those mixed-radix digits, most significant first.
     """
@@ -285,8 +298,21 @@ class Kind:
     def mul_arrays(self, A, B):
         raise NotImplementedError
 
+    def mul_rows(self, A, B):
+        """The canonical rows of A[r] B[r], row by row, for two blocks of one
+        shape."""
+        raise NotImplementedError
+
     def canonical_rows(self, arr):
         return arr
+
+    def closure_products(self, arr, gens):
+        """For each generator row g, (keys, rows_at): the keys of the
+        canonical products arr g, and a function that gives the rows of the
+        products at an array of positions."""
+        for g in gens:
+            prods = self.canonical_rows(self.mul_arrays(arr, g))
+            yield self.keys(prods), prods.__getitem__
 
     def _places(self):
         """(radices, place values, place values as uint64) of the key digits;
@@ -398,6 +424,9 @@ class PermKind(Kind):
         # (a*b)(i) = a(b(i)): a's images indexed by b's
         return A[..., B] if B.ndim == 1 else A.take(B)
 
+    def mul_rows(self, A, B):
+        return A[np.arange(len(A))[:, None], B]
+
     def __eq__(self, other):
         return isinstance(other, PermKind) and other.deg == self.deg
 
@@ -484,22 +513,24 @@ class MatKind(Kind):
         return out
 
     def _table(self, M):
-        """T[c] = v M for the vector v with code c, M an n x n array;
-        memoised, read-only."""
+        """(T, C): T[c] = v M for the vector v with code c, M an n x n array,
+        and C[c] the code of T[c]; memoised, read-only."""
         key = M.tobytes()
-        T = self._tables.get(key)
-        if T is None:
+        TC = self._tables.get(key)
+        if TC is None:
             n = self.n
             MT, AT = self.field.np_tables()
             T = np.zeros((1, n), dtype=np.uint16)
             for k in range(n):
                 # codes c*q + d: every vector so far, extended by the digit d
                 T = AT[T[:, None, :], MT[:, M[k]]].reshape(-1, n)
-            T.flags.writeable = False
+            TC = T, self._codes(T)
+            for a in TC:
+                a.flags.writeable = False
             if len(self._tables) >= _TABLE_MEMO:
                 del self._tables[next(iter(self._tables))]
-            self._tables[key] = T
-        return T
+            self._tables[key] = TC
+        return TC
 
     def _codes(self, X):
         """Codes of the row vectors X[..., i, :], by Horner's rule."""
@@ -515,11 +546,38 @@ class MatKind(Kind):
         n = self.n
         if B.ndim == 1:
             X = A.reshape(A.shape[:-1] + (n, n))
-            return self._table(B.reshape(n, n)).take(self._codes(X), axis=0).reshape(A.shape)
+            return self._table(B.reshape(n, n))[0].take(self._codes(X), axis=0).reshape(A.shape)
         # A B is the transpose of B^T A^T: look up B's columns in A^T's table
         X = B.reshape(B.shape[:-1] + (n, n)).swapaxes(-1, -2)
-        C = self._table(A.reshape(n, n).T).take(self._codes(X), axis=0)
+        C = self._table(A.reshape(n, n).T)[0].take(self._codes(X), axis=0)
         return C.swapaxes(-1, -2).reshape(B.shape)
+
+    def mul_rows(self, A, B):
+        # C[r, i, j] = sum over k of A[r, i, k] B[r, k, j], by the field's tables
+        n = self.n
+        MT, AT = self.field.np_tables()
+        X = A.reshape(-1, n, n)
+        Y = B.reshape(-1, n, n)
+        C = MT[X[:, :, :1], Y[:, None, 0]]
+        for k in range(1, n):
+            C = AT[C, MT[X[:, :, k:k + 1], Y[:, None, k]]]
+        return C.reshape(A.shape)
+
+    def closure_products(self, arr, gens):
+        # the row vectors of arr g are those of arr through g's table, so the
+        # codes of a product's rows are a gather of arr's codes, and its key
+        # is those codes read in radix q^n: the key Kind.keys gives
+        n = self.n
+        codes = self._codes(arr.reshape(-1, n, n))
+        radix = np.uint64(self.field.q**n)
+        for g in gens:
+            T, C = self._table(g.reshape(n, n))
+            rc = C.take(codes)
+            keys = rc[:, 0].astype(np.uint64)
+            for k in range(1, n):
+                keys *= radix
+                keys += rc[:, k]
+            yield keys, lambda at, T=T: T.take(codes[at], axis=0).reshape(-1, n * n)
 
     def __eq__(self, other):
         return (
@@ -610,6 +668,12 @@ class SemiKind(Kind):
                 rows = A[:, 0] == i
                 C[rows] = self.base.mul_arrays(A[rows, 1:], self._frob[i, B[1:]])
         return np.concatenate([j, C], axis=-1)
+
+    def mul_rows(self, A, B):
+        # each row's Frobenius power applied to its own B, then the base
+        j = (A[:, :1] + B[:, :1]) % self.period
+        C = self.base.mul_rows(A[:, 1:], self._frob[A[:, :1], B[:, 1:]])
+        return np.concatenate([j, C], axis=1)
 
     def __eq__(self, other):
         return isinstance(other, SemiKind) and other.base == self.base
@@ -708,6 +772,21 @@ class PairKind(Kind):
         return np.concatenate([self.left.mul_arrays(A[..., :w], B[..., :w]),
                                self.right.mul_arrays(A[..., w:], B[..., w:])], axis=-1)
 
+    def mul_rows(self, A, B):
+        w = self._w
+        return np.concatenate([self.left.mul_rows(A[:, :w], B[:, :w]),
+                               self.right.mul_rows(A[:, w:], B[:, w:])], axis=1)
+
+    def canonical_rows(self, arr):
+        w = self._w
+        return np.concatenate([self.left.canonical_rows(arr[..., :w]),
+                               self.right.canonical_rows(arr[..., w:])], axis=-1)
+
+    def commute_mask(self, arr, V):
+        w = self._w
+        return (self.left.commute_mask(arr[:, :w], V[:w])
+                & self.right.commute_mask(arr[:, w:], V[w:]))
+
     def __eq__(self, other):
         return (
             isinstance(other, PairKind)
@@ -787,6 +866,9 @@ class CosetKind(Kind):
 
     def mul_arrays(self, A, B):
         return self.base.mul_arrays(A, B)
+
+    def mul_rows(self, A, B):
+        return self.canonical_rows(self.base.mul_rows(A, B))
 
     def canonical_rows(self, arr):
         # the least key of z x over z in the central subgroup; key order is
@@ -974,22 +1056,24 @@ class _Table:
 
 
 def _mulclose(kind: Kind, gens, cap: int):
-    """BFS closure of generator rows from the identity: (table, maps), where
-    maps[k][i] is the index of x gens[k] for the element x at index i;
-    CapError past cap.
+    """BFS closure of generator rows from the identity: (table, maps, tree),
+    where maps[k][i] is the index of x gens[k] for the element x at index i,
+    and tree is the closure's spanning tree as steps (k, parents): the
+    elements maps[k][parents] were first reached from those parents along
+    generator k, every parent before its children; CapError past cap.
 
     Each chunk of rows, in table order, is multiplied by every generator;
     the products not in the table yet are appended and are multiplied in
-    their turn, so the closure ends once every row has been."""
+    their turn, so the closure ends once every row has been.  The kind's
+    closure_products gives each product's key, and the rows of the new ones
+    only."""
     t = _Table(kind, kind.to_array([kind.identity()]), grow_to=cap)
     looked: list[list[np.ndarray]] = [[] for _ in gens]
+    tree = []
     pos = 0
     while pos < t.n:
         arr = t.rows[pos:min(pos + _CHUNK, t.n)]
-        pos += len(arr)
-        for k, g in enumerate(gens):
-            prods = kind.canonical_rows(kind.mul_arrays(arr, g))
-            keys = kind.keys(prods)
+        for k, (keys, rows_at) in enumerate(kind.closure_products(arr, gens)):
             ids = t.find(keys)
             # the products of one generator are distinct, so the missing ones
             # are new and take the next indices in order
@@ -998,9 +1082,11 @@ def _mulclose(kind: Kind, gens, cap: int):
                 if t.n + fresh.size > cap:
                     raise CapError(f"closure stopped at {t.n} elements")
                 ids[fresh] = np.arange(t.n, t.n + fresh.size)
-                t.add(prods[fresh], keys[fresh])
+                t.add(rows_at(fresh), keys[fresh])
+                tree.append((k, (pos + fresh).astype(np.int32)))
             looked[k].append(ids.astype(np.int32))
-    return t.freeze(), [np.concatenate(c) for c in looked]
+        pos += len(arr)
+    return t.freeze(), [np.concatenate(c) for c in looked], tree
 
 
 # the slot of Group.conjugation_maps: a group and its maps
@@ -1024,9 +1110,9 @@ def generate(gens, cap: int = DEFAULT_CAP, name: str = "") -> "Group":
     payloads = sorted({g.payload for g in gens} - {idp})
     if not payloads:
         return Group(kind, kind.to_array([idp]), [], name=name)
-    t, maps = _mulclose(kind, kind.to_array(payloads), cap)
+    t, maps, tree = _mulclose(kind, kind.to_array(payloads), cap)
     G = Group(kind, None, payloads, name=name, _table=t)
-    G._right = maps
+    G._right, G._tree = maps, tree
     return G
 
 
@@ -1039,7 +1125,7 @@ def _greedy_gens(G: "Group") -> list[int]:
     have[0] = True
     while not have.all():
         out.append(int(np.argmin(have)))
-        t, _ = _mulclose(G.kind, G.rows[out], cap=n)
+        t = _mulclose(G.kind, G.rows[out], cap=n)[0]
         idx = G._t.find(t.sorted)
         if (idx < 0).any():
             raise ConstructionError("could not generate group from its own elements")
@@ -1076,7 +1162,7 @@ class Group:
         self._inv = None
         self._center = None
         self._cls = None
-        self._walks: dict[int, list[bytes]] = {}
+        self._walks = None
         self._reduced = None
         self._perfect = None
         self._quasisimple = None
@@ -1194,10 +1280,15 @@ class Group:
         return self._right
 
     def _schreier(self) -> list[tuple[int, np.ndarray]]:
-        """Breadth-first (Schreier) tree of the right Cayley graph from the
+        """A spanning (Schreier) tree of the right Cayley graph from the
         identity, as steps (k, parents): the elements maps[k][parents] are
-        first reached from those parents along generator k.  PcgError when
-        the generators do not reach every element."""
+        first reached from those parents along generator k, and every parent
+        is reached in an earlier step.  A group that generate built holds its
+        closure's own tree; any other (a quotient, a product) takes a
+        breadth-first search over the right maps.  The left maps, the inverse
+        map, the conjugation maps and the centralizer masks read off the tree
+        are the same whichever spanning tree it is.  PcgError when the
+        generators do not reach every element."""
         if self._tree is None:
             n = len(self)
             seen = np.zeros(n, dtype=bool)
@@ -1354,8 +1445,12 @@ class Group:
             # them again)
             del new
             firsts = np.flatnonzero(lab == np.arange(n, dtype=np.int32))
-            label = np.searchsorted(firsts, lab).astype(np.int32)
-            del lab
+            # a class's number is the rank of its first element among the
+            # firsts: one scatter of the ranks and one gather
+            rank = np.empty(n, dtype=np.int32)
+            rank[firsts] = np.arange(len(firsts), dtype=np.int32)
+            label = rank.take(lab)
+            del lab, rank
             # a stable sort of 16-bit keys is a radix sort
             keys = label.astype(np.uint16) if len(firsts) <= 1 << 16 else label
             members = np.argsort(keys, kind="stable").astype(np.int32)
@@ -1379,12 +1474,48 @@ class Group:
     def _class_sizes(self) -> np.ndarray:
         return np.diff(self._class_arrays()[2])
 
-    def _class_walk(self, ci: int) -> list[bytes]:
-        """The powers of class ci's first element, memoised."""
-        w = self._walks.get(ci)
-        if w is None:
-            w = self._walks[ci] = _walk(self.kind, self.payload(self._class_rep(ci)))
-        return w
+    def _class_walks(self) -> list[np.ndarray]:
+        """walks[c]: the indices of x, x^2, ..., x^o = 1 for the first element
+        x of class c, o its order, so its p-th entry is x^p.
+
+        Every class is walked at once, by doubling: with the powers x, ...,
+        x^m of each class not yet at the identity in hand, one row-by-row
+        product (Kind.mul_rows) of them by x^m gives x^(m+1), ..., x^2m,
+        found by one _find_rows.  A class leaves once its powers reach the
+        identity.  Memoised."""
+        if self._walks is None:
+            _, members, starts = self._class_arrays()
+            w = self.rows.shape[1]
+            walks = [None] * (len(starts) - 1)
+            live = np.arange(len(walks))
+            idx = members[starts[:-1]][:, None]
+            rows = self.rows[idx]
+            while True:
+                hit = idx == 0
+                done = hit.any(axis=1)
+                if done.any():
+                    # these classes' walks end at their first identity
+                    for c, p, o in zip(live[done].tolist(), idx[done],
+                                       (hit[done].argmax(axis=1) + 1).tolist()):
+                        walks[c] = p[:o]
+                    keep = ~done
+                    live, idx, rows = live[keep], idx[keep], rows[keep]
+                    if not live.size:
+                        break
+                m = idx.shape[1]
+                if m >= _RUNAWAY:
+                    raise PcgError("element order runaway")
+                top = np.repeat(rows[:, -1:], m, axis=1)
+                more = self.kind.mul_rows(rows.reshape(-1, w), top.reshape(-1, w))
+                idx = np.hstack([idx, self._find_rows(more).reshape(-1, m)])
+                rows = np.concatenate([rows, more.reshape(-1, m, w)], axis=1)
+            self._walks = walks
+        return self._walks
+
+    def _class_walk(self, ci: int) -> np.ndarray:
+        """The indices of the powers x, x^2, ..., x^o = 1 of class ci's first
+        element x (_class_walks)."""
+        return self._class_walks()[ci]
 
     def class_order(self, ci: int) -> int:
         return len(self._class_walk(ci))
@@ -1396,8 +1527,8 @@ class Group:
         """Classes of x^p for x in class ci and each prime p dividing o(x)."""
         w = self._class_walk(ci)
         o = len(w)
-        return [self.class_of(self._index(w[p - 1]))
-                for p in range(2, o + 1) if o % p == 0 and _is_prime(p)]
+        label = self._class_arrays()[0]
+        return [int(label[w[p - 1]]) for p in range(2, o + 1) if o % p == 0 and _is_prime(p)]
 
     # -- reduction support ---------------------------------------------------
 
@@ -1554,7 +1685,8 @@ class Group:
         rational class, whose classes need no closure of their own.
         """
         if self._quasisimple is None:
-            sizes = self._class_sizes()
+            label, _, starts = self._class_arrays()
+            sizes = np.diff(starts)
 
             def seeds():
                 covered = set()
@@ -1563,9 +1695,9 @@ class Group:
                             sizes[d] > 1 for d in self._power_classes(c)):
                         continue
                     w = self._class_walk(c)
-                    covered.update(self.class_of(self._index(w[k - 1]))
-                                   for k in range(1, len(w) + 1) if math.gcd(k, len(w)) == 1)
-                    yield w[0]
+                    coprime = np.gcd(np.arange(1, len(w) + 1), len(w)) == 1
+                    covered.update(label[w[coprime]].tolist())
+                    yield self.payload(int(w[0]))
 
             self._quasisimple = not self.is_abelian() and all(
                 self._normal_closure_size([x]) == len(self) for x in seeds())
@@ -1577,8 +1709,8 @@ class Group:
 
 # what a quotient by the trivial subgroup takes from its cover: it is the
 # cover with every element x relabelled as the coset {x}
-_SHARED = ("_right", "_tree", "_inv", "_cls", "_center", "_reduced", "_perfect",
-           "_quasisimple")
+_SHARED = ("_right", "_tree", "_inv", "_cls", "_walks", "_center", "_reduced",
+           "_perfect", "_quasisimple")
 
 
 def central_quotient(G: Group, central_indices) -> Group:

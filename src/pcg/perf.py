@@ -288,7 +288,7 @@ def prune(g: CommGraph) -> list[int]:
     None of these steps changes the Berge verdict.  A vertex of a hole of
     length >= 4 or an antihole of length >= 5 has two non-adjacent
     neighbours and a non-neighbour on it, so it is neither simplicial (its
-    neighbourhood a clique) nor universal; for twins see cg.twin_classes.
+    neighbourhood a clique) nor universal; for twins see cg._twin_keep.
     So the graph induced on the result is Berge exactly when g is, and each
     of its odd holes and antiholes is one of g's.
 

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from pcg import classify, cli, perf, wit
-from pcg.cg import _from_edges, build_graph, build_reduced, collapse_twins, twin_classes
+from pcg.cg import _from_edges, build_graph, build_reduced, collapse_twins
 from pcg.named import build
+from test_cg import twin_classes
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,6 @@ from pcg.cg import (
     read_dimacs,
     read_dimacs_file,
     to_dimacs,
-    twin_classes,
 )
 from pcg.classify import SUITE_ROWS
 from pcg.errors import PcgError
@@ -330,6 +329,29 @@ def _dimacs_from_rows(rows):
 
 def _bits(x):
     return [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+def twin_classes(rows, alive: int) -> list[list[int]]:
+    """Twin classes of the graph induced on the vertices of the bitset alive,
+    the bitset reference for cg._twin_keep.
+
+    An open pass groups vertices by open neighbourhood within alive; a
+    closed pass then groups the open classes' smallest members by closed
+    neighbourhood among those members, and each closed group becomes one
+    class, the union of its open classes.  Each class is sorted and the
+    classes are ordered by their smallest member.
+    """
+    # dicts keep insertion order, here ascending by smallest member
+    by_open: dict[int, list[int]] = {}
+    for u in _bits(alive):
+        by_open.setdefault(rows[u] & alive, []).append(u)
+    reps = 0
+    for c in by_open.values():
+        reps |= 1 << c[0]
+    by_closed: dict[int, list[int]] = {}
+    for c in by_open.values():
+        by_closed.setdefault(rows[c[0]] & reps | 1 << c[0], []).extend(c)
+    return [sorted(c) for c in by_closed.values()]
 
 
 @pytest.mark.parametrize("spec", ["alt:6", "sl:3:4", "aut-sl2-8", "fib(3a6,sl:2:9)"])

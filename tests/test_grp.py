@@ -13,6 +13,7 @@ from pcg.grp import (
     CosetKind,
     Element,
     Group,
+    Kind,
     MatKind,
     PairKind,
     PermKind,
@@ -25,6 +26,7 @@ from pcg.grp import (
     _Table,
     _format,
     _mulclose,
+    _walk,
     central_quotient,
     direct_product,
     generate,
@@ -197,7 +199,7 @@ def test_closure_matches_scalar_bfs(spec, dense):
     assert (math.prod(k.radices()) <= _DENSE) == dense
     assert (_Table(k, G.rows[:1], grow_to=DEFAULT_CAP).dense is not None) == dense
     gens = k.to_array(G.gens)
-    t, maps = _mulclose(k, gens, cap=DEFAULT_CAP)
+    t, maps, _ = _mulclose(k, gens, cap=DEFAULT_CAP)
     elems, want = _bfs_closure(k, G.gens)
     assert k.from_array(t.rows) == elems
     assert [m.tolist() for m in maps] == want
@@ -249,6 +251,94 @@ def test_centralizer_and_class_sizes():
 
 
 @pytest.mark.parametrize("spec", [
+    "psl:3:4", "fib(3a6,sl:2:9)", "aut-sl2-8", "prod(sym:3,sym:3,sym:3)", "sp:4:3",
+])
+def test_class_walks_match_scalar_walks(spec):
+    # every class walked at once, as indices, against the scalar walk of its
+    # first element's payload
+    G = build(spec)
+    k = G.kind
+    for ci, cls in enumerate(G.conjugacy_classes()):
+        w = G._class_walk(ci)
+        assert w.dtype == np.int32
+        assert G.payloads(w) == _walk(k, G.payload(int(cls[0])))
+        assert G.class_order(ci) == len(w)
+
+
+@pytest.mark.parametrize("spec, kind", [
+    ("sym:5", "PermKind"), ("sl:2:5", "MatKind"), ("sl:2:4", "MatKind"),
+    ("aut-sl2-8", "SemiKind"), ("prod(sym:3,sym:3)", "PairKind"),
+    ("psl:2:5", "CosetKind"), ("prod(psl:2:5,sym:3)", "PairKind"),
+])
+def test_mul_rows_match_scalar_products(spec, kind):
+    G = build(spec)
+    k = G.kind
+    assert type(k).__name__ == kind
+    rng = np.random.default_rng(7)
+    a, b = rng.integers(0, len(G), size=(2, 300))
+    C = k.mul_rows(G.rows[a], G.rows[b])
+    assert C.dtype == np.uint16 and C.shape == (300, G.rows.shape[1])
+    # canonical rows: each product is an element's row
+    assert k.from_array(C) == [k.mul(x, y) for x, y in zip(G.payloads(a), G.payloads(b))]
+    assert np.array_equal(C, k.canonical_rows(C))
+    assert (G.lookup_rows(C) >= 0).all()
+
+
+@pytest.mark.parametrize("spec", ["sl:3:4", "sz:8", "su:3:3"])
+def test_closure_keys_from_row_codes(spec):
+    # a matrix kind keys each product from its row-vector codes; the keys
+    # and the rows it makes are those of the products it skips making
+    G = build(spec)
+    k = G.kind
+    assert type(k) is MatKind
+    gens = k.to_array(G.gens)
+    for arr in (G.rows[:1], G.rows[:_CHUNK], G.rows[-777:]):
+        got = list(k.closure_products(arr, gens))
+        want = list(Kind.closure_products(k, arr, gens))
+        assert len(got) == len(want) == len(gens)
+        for g, (keys, rows_at), (want_keys, want_at) in zip(gens, got, want):
+            prods = k.mul_arrays(arr, g)
+            assert keys.dtype == np.uint64
+            assert np.array_equal(keys, Kind.keys(k, prods))
+            assert np.array_equal(keys, want_keys)
+            at = np.arange(0, len(arr), 3)
+            assert np.array_equal(rows_at(at), prods[at])
+            assert np.array_equal(rows_at(at), want_at(at))
+
+
+@pytest.mark.parametrize("spec", ["alt:8", "sl:3:4", "sz:8", "su:3:3", "aut-sl2-8"])
+def test_closure_tree_spans_the_group(spec):
+    G = build(spec)
+    n = len(G)
+    assert G._tree is not None
+    R = G.right_maps()
+    child = np.zeros(n, dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    for k, parents in G._tree:
+        assert parents.dtype == np.int32
+        # every parent before its children
+        assert reached[parents].all()
+        kids = R[k][parents]
+        child[kids] += 1
+        reached[kids] = True
+    # every element but the identity is a child exactly once
+    assert child[0] == 0 and (child[1:] == 1).all()
+    # the maps read off the tree are those read off the breadth-first tree
+    # of a group over the same rows and generators
+    H = Group(G.kind, G.rows, G.gens)
+    assert H._tree is None
+    some = [0, 1, n // 3, n - 1]
+    assert np.array_equal(G.left_maps(some), H.left_maps(some))
+    assert np.array_equal(G.inverse_map(), H.inverse_map())
+    # one group's conjugation maps at a time, as the slot holds them
+    reps = [int(c[0]) for c in G.conjugacy_classes()]
+    conj, masks = list(G.conjugation_maps()), [G.commute_mask(i) for i in reps]
+    assert all(np.array_equal(a, b) for a, b in zip(conj, H.conjugation_maps()))
+    assert all(np.array_equal(m, H.commute_mask(i)) for m, i in zip(masks, reps))
+
+
+@pytest.mark.parametrize("spec", [
     "sym:5", "sl:3:4", "psl:3:4", "aut-sl2-8", "prod(sym:3,sym:3,sym:3)",
 ])
 def test_power_classes_match_repeated_multiplication(spec):
@@ -281,6 +371,7 @@ _KIND_SPECS = [
     ("aut-sl2-8", "SemiKind"),                # Frobenius twist in the rows
     ("prod(sym:3,sl:2:3)", "PairKind"),       # sides of different widths
     ("cq(prod(sl:2:3,sl:2:3))", "CosetKind"),  # cosets over pairs
+    ("prod(psl:2:5,sym:3)", "PairKind"),      # pairs over cosets
 ]
 
 
@@ -559,7 +650,7 @@ def _closure_from_identity(G, seeds):
         return 1
     while True:
         try:
-            t, _ = _mulclose(k, k.to_array(seeds), cap=n // 2)
+            t, _, _ = _mulclose(k, k.to_array(seeds), cap=n // 2)
         except CapError:
             return n
         new = {k.mul(k.mul(k.inv(g), s), g) for s in seeds for g in G.gens} - set(

@@ -15,7 +15,6 @@ from pcg.cg import (
     build_reduced,
     collapse_twins,
     induced,
-    twin_classes,
 )
 from pcg.errors import CertificateError, GuardError, PcgError
 from pcg.named import build
@@ -33,6 +32,7 @@ from pcg.perf import (
     union_of_cliques_certificate,
     verify_witness,
 )
+from test_cg import twin_classes
 
 
 def _graph(n, edges):
